@@ -7,7 +7,7 @@
 # The benchmarks write BENCH_propagation.json, BENCH_schedule.json,
 # BENCH_stepper.json, BENCH_device.json, and BENCH_e2e.json in the repo
 # root so the simulator hot path's perf trajectory (constant-Hamiltonian
-# kernel, schedule layout reuse, stepper-backend work counts, the
+# kernel, schedule layout reuse, Taylor-vs-Chebyshev work counts, the
 # realization-block device sweep, and the compiler-in-the-loop scenario
 # matrix) is tracked across PRs.
 
@@ -34,8 +34,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 # Includes tests/prop_faults.rs — the fault-injection conformance grid
-# (every failure class x every stepper backend recovers or errors, never
-# panics, never silently wrong).
+# (every failure class x every stepper kind — Taylor, Chebyshev, Auto —
+# recovers or errors, never panics, never silently wrong).
 cargo build --release
 cargo test -q
 
@@ -50,29 +50,26 @@ echo "==> tier-1 traced: QTURBO_TRACE=1 cargo test -q"
 # produce the same numerics (tests/conformance_telemetry.rs additionally
 # pins traced == untraced bitwise and span sums == exact pass counters).
 # The traced *wall-time* gate lives in bench_schedule, which times a traced
-# dense-ramp batched run against the untraced Taylor bound.
+# dense-ramp Taylor run against a back-to-back untraced one.
 QTURBO_TRACE=1 cargo test -q
 
 if [[ "${1:-}" != "--quick" ]]; then
     echo "==> propagation benchmark (naive vs mask-compiled)"
     cargo run --release -p qturbo-bench --bin bench_propagation
 
-    echo "==> schedule benchmark (recompile-per-segment vs layout reuse + dense-ramp batched gates)"
-    # The dense-ramp entries assert the batched multi-segment sweep gates:
-    # identical kernel applications, strictly fewer amplitude passes, wall
-    # time never worse than per-segment Taylor, 1e-10 pairwise agreement,
-    # and Auto within 10% of the best backend including the batched one —
-    # plus the traced gate: a telemetry-enabled batched run must match a
-    # back-to-back untraced run within the same 2 ms allowance, proving
-    # tracing stays off the hot path (and, chained with the batched-vs-
-    # taylor bound, that the dense-ramp wall gate holds with tracing on).
+    echo "==> schedule benchmark (recompile-per-segment vs layout reuse + dense-ramp gates)"
+    # The dense-ramp entries run Taylor, Chebyshev and Auto and assert 1e-10
+    # pairwise agreement, Auto never slower than the worst backend and
+    # within 10% of the best — plus the traced gate: a telemetry-enabled
+    # Taylor run must match a back-to-back untraced run within a 2 ms
+    # allowance, proving tracing stays off the hot path.
     cargo run --release -p qturbo-bench --bin bench_schedule
 
-    echo "==> stepper benchmark (Taylor vs BatchedTaylor vs Krylov vs Chebyshev vs Auto backends)"
+    echo "==> stepper benchmark (Taylor vs Chebyshev vs Auto backends)"
     # The bench binary asserts the Auto acceptance gates (never slower than
-    # the worst fixed backend, within 10% of the best, on every workload)
-    # and the ramp-workload batched gates (identical series, fewer passes,
-    # never slower than per-segment Taylor).
+    # the worst fixed backend, within 10% of the best, on every workload),
+    # 1e-9 agreement with the Taylor reference, and on every quench that
+    # Chebyshev (or Auto) beats Taylor on applications and wall time.
     cargo run --release -p qturbo-bench --bin bench_stepper
 
     echo "==> device benchmark (sequential realizations vs SoA realization block)"

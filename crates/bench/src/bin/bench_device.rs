@@ -103,9 +103,9 @@ fn entry(
     schedule: &CompiledSchedule,
 ) -> Json {
     let sequential_device = EmulatedDevice::new(noise(), 23)
-        .with_options(EvolveOptions::batched_taylor().with_telemetry(false));
+        .with_options(EvolveOptions::taylor().with_telemetry(false));
     let block_device = EmulatedDevice::new(noise(), 23).with_options(
-        EvolveOptions::batched_taylor()
+        EvolveOptions::taylor()
             .with_telemetry(false)
             .with_realization_block(true),
     );

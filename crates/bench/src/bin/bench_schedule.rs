@@ -1,7 +1,8 @@
 //! Schedule-compilation benchmark: recompile-per-segment vs shared-layout
 //! reuse on a discretized time-dependent ramp, plus the fused Z/ZZ
 //! observable sweep vs the per-observable route, plus the **dense-ramp**
-//! workload gating the batched multi-segment evolution sweep.
+//! workload gating the automatic backend selection on long trains of tiny
+//! segments.
 //!
 //! Writes `BENCH_schedule.json` into the current directory. The base
 //! workload is the paper's MIS annealing chain (§5.3) discretized into 100
@@ -12,18 +13,15 @@
 //! its `O(#diag · 2ⁿ)` diagonal table) per segment.
 //!
 //! The dense-ramp entries (8q × 1000, 12q × 300, 16q × 100 segments) run
-//! per-segment Taylor, the batched multi-segment sweep, and Auto end to end,
-//! recording wall time **and amplitude-pass counts**, and **assert** the
-//! batched acceptance gates (ci.sh runs this binary, so they are CI gates):
-//! identical kernel applications, strictly fewer amplitude passes, wall time
-//! never worse than per-segment Taylor, final states pairwise-matched to
-//! 1e-10, and Auto within 10% of the best of the two. A **traced** batched
-//! run must match a back-to-back untraced one within the same 2 ms jitter
-//! allowance — the CI proof that telemetry stays off the hot path, which
-//! chained with the batched-vs-taylor bound keeps the dense-ramp wall gate
-//! true with tracing enabled — and every workload entry carries a
-//! `telemetry` JSON block (work totals, recovery counts, worker-pool
-//! utilization) from one extra untimed traced run.
+//! Taylor, Chebyshev, and Auto end to end, recording wall time **and
+//! amplitude-pass counts**, and **assert** the acceptance gates (ci.sh runs
+//! this binary, so they are CI gates): final states pairwise-matched to
+//! 1e-10, and Auto never slower than the worst backend and within 10% of
+//! the best. A **traced** Taylor run must match a back-to-back untraced one
+//! within a 2 ms jitter allowance — the CI proof that telemetry stays off
+//! the hot path — and every workload entry carries a `telemetry` JSON block
+//! (work totals, recovery counts, worker-pool utilization) from one extra
+//! untimed traced run.
 
 use qturbo_bench::telemetry_report::{telemetry_json, traced_profile};
 use qturbo_bench::timing::{achieved_bytes_per_sec, bench, Json, Sample};
@@ -40,10 +38,10 @@ const SIZES: [usize; 3] = [8, 12, 16];
 const NUM_SEGMENTS: usize = 100;
 const TOTAL_TIME: f64 = 1.0;
 /// Dense-ramp configurations: `(qubits, segments)` — long trains of tiny
-/// segments, the batched sweep's target shape.
+/// segments, the batched Taylor sweep's target shape.
 const DENSE_RAMPS: [(usize, usize); 3] = [(8, 1000), (12, 300), (16, 100)];
-/// Pairwise amplitude agreement required between the batched and
-/// per-segment evolutions of a dense ramp.
+/// Pairwise amplitude agreement required between the backends' evolutions
+/// of a dense ramp.
 const DENSE_AGREEMENT: f64 = 1e-10;
 
 fn reps_for(qubits: usize) -> usize {
@@ -253,8 +251,8 @@ fn run_dense_backend(
 }
 
 /// The dense-ramp workload: a long train of tiny same-layout segments
-/// driven end to end by per-segment Taylor, the batched multi-segment
-/// sweep, and Auto — with the batched acceptance gates asserted.
+/// driven end to end by Taylor, Chebyshev, and Auto — with the Auto and
+/// traced-run gates asserted.
 fn dense_ramp_entry(qubits: usize, segments: usize) -> Json {
     let ramp = mis_chain(qubits, 1.0, 1.0, 1.0, TOTAL_TIME, segments);
     let compiled_segments: Vec<(Hamiltonian, f64)> = ramp
@@ -267,95 +265,82 @@ fn dense_ramp_entry(qubits: usize, segments: usize) -> Json {
     let reps = reps_for(qubits);
 
     let taylor = run_dense_backend(&schedule, qubits, StepperKind::Taylor, reps);
-    let batched = run_dense_backend(&schedule, qubits, StepperKind::BatchedTaylor, reps);
+    let chebyshev = run_dense_backend(&schedule, qubits, StepperKind::Chebyshev, reps);
     let auto = run_dense_backend(&schedule, qubits, StepperKind::Auto, reps);
 
-    let max_deviation = batched
-        .final_state
-        .amplitudes()
-        .iter()
-        .zip(taylor.final_state.amplitudes())
-        .map(|(a, b)| (*a - *b).abs())
-        .fold(0.0f64, f64::max);
-    let pass_ratio = taylor.state_passes as f64 / batched.state_passes.max(1) as f64;
-    let wall_speedup = taylor.wall_median_s / batched.wall_median_s.max(1e-12);
+    let deviation_from_taylor = |r: &DenseResult| {
+        r.final_state
+            .amplitudes()
+            .iter()
+            .zip(taylor.final_state.amplitudes())
+            .map(|(a, b)| (*a - *b).abs())
+            .fold(0.0f64, f64::max)
+    };
+    let max_deviation = deviation_from_taylor(&chebyshev).max(deviation_from_taylor(&auto));
     println!(
-        "  dense {qubits:>2}q x {segments:>4}  taylor {:>8} passes {:>9.4}s | batched {:>8} passes \
-         {:>9.4}s ({pass_ratio:.2}x fewer passes, {wall_speedup:.2}x wall) | auto {:>9.4}s | \
-         dev {max_deviation:.2e} | {} runs",
+        "  dense {qubits:>2}q x {segments:>4}  taylor {:>8} passes {:>9.4}s | chebyshev {:>8} passes \
+         {:>9.4}s | auto {:>9.4}s | dev {max_deviation:.2e} | {} runs",
         taylor.state_passes,
         taylor.wall_median_s,
-        batched.state_passes,
-        batched.wall_median_s,
+        chebyshev.state_passes,
+        chebyshev.wall_median_s,
         auto.wall_median_s,
         batch_runs.len(),
     );
 
-    // --- The batched CI gates. ---
+    // --- The CI gates: pairwise agreement, and Auto never slower than the
+    // worst backend and within 10% of the best (min statistic, 2 ms jitter
+    // allowance). ---
     assert!(
         max_deviation < DENSE_AGREEMENT,
-        "{qubits}q dense ramp: batched deviates from per-segment Taylor by {max_deviation}"
+        "{qubits}q dense ramp: a backend deviates from Taylor by {max_deviation}"
     );
-    assert_eq!(
-        batched.kernel_applications, taylor.kernel_applications,
-        "{qubits}q dense ramp: the batched sweep must run the identical series"
-    );
+    let best = taylor.wall_min_s.min(chebyshev.wall_min_s);
+    let worst = taylor.wall_min_s.max(chebyshev.wall_min_s);
     assert!(
-        batched.state_passes < taylor.state_passes,
-        "{qubits}q dense ramp: batched passes {} !< taylor passes {}",
-        batched.state_passes,
-        taylor.state_passes
+        auto.wall_min_s <= worst + 0.002,
+        "{qubits}q dense ramp: auto ({:.4}s) slower than the worst backend ({worst:.4}s)",
+        auto.wall_min_s
     );
-    assert!(
-        batched.wall_min_s <= taylor.wall_min_s + 0.002,
-        "{qubits}q dense ramp: batched ({:.4}s) slower than per-segment Taylor ({:.4}s)",
-        batched.wall_min_s,
-        taylor.wall_min_s
-    );
-    let best = taylor.wall_min_s.min(batched.wall_min_s);
     assert!(
         auto.wall_min_s <= best * 1.10 + 0.002,
         "{qubits}q dense ramp: auto ({:.4}s) more than 10% behind the best backend ({best:.4}s)",
         auto.wall_min_s
     );
 
-    // --- The traced gate: the batched wall bound must also hold with
-    // telemetry ON, proving tracing stays off the hot path. A fresh
-    // untraced measurement and a traced one run back to back — same code
-    // path modulo telemetry, no thermal/load drift between windows (the
-    // `taylor`/`batched` samples above are minutes old by now, so comparing
-    // against them would gate on machine drift, not tracing cost). Chained
-    // with the batched-vs-taylor gate above, this keeps the dense-ramp
-    // batched-vs-taylor wall gate true with tracing enabled. One untimed
-    // traced run additionally provides the telemetry JSON block. ---
+    // --- The traced gate: a telemetry-enabled Taylor run must match a
+    // back-to-back untraced one, proving tracing stays off the hot path. A
+    // fresh untraced measurement and a traced one run back to back — same
+    // code path modulo telemetry, no thermal/load drift between windows
+    // (the samples above are minutes old by now, so comparing against them
+    // would gate on machine drift, not tracing cost). One untimed traced run
+    // additionally provides the telemetry JSON block. ---
     let profile = traced_profile(
         &StateVector::zero_state(qubits),
-        StepperKind::BatchedTaylor,
+        StepperKind::Taylor,
         |propagator, state| propagator.evolve_schedule_in_place(&schedule, state),
     );
-    let mut untraced_propagator = Propagator::with_options(
-        EvolveOptions::new(StepperKind::BatchedTaylor).with_telemetry(false),
-    );
+    let mut untraced_propagator =
+        Propagator::with_options(EvolveOptions::taylor().with_telemetry(false));
     let untraced_sample = bench(reps, || {
         let mut state = StateVector::zero_state(qubits);
         untraced_propagator.evolve_schedule_in_place(&schedule, &mut state);
         std::hint::black_box(&state);
     });
-    let mut traced_propagator = Propagator::with_options(
-        EvolveOptions::new(StepperKind::BatchedTaylor).with_telemetry(true),
-    );
+    let mut traced_propagator =
+        Propagator::with_options(EvolveOptions::taylor().with_telemetry(true));
     let traced_sample = bench(reps, || {
         let mut state = StateVector::zero_state(qubits);
         traced_propagator.evolve_schedule_in_place(&schedule, &mut state);
         std::hint::black_box(&state);
     });
     println!(
-        "  dense {qubits:>2}q x {segments:>4}  traced batched {:>9.4}s (gate: <= untraced {:.4}s + 2ms)",
+        "  dense {qubits:>2}q x {segments:>4}  traced taylor {:>9.4}s (gate: <= untraced {:.4}s + 2ms)",
         traced_sample.min, untraced_sample.min
     );
     assert!(
         traced_sample.min <= untraced_sample.min + 0.002,
-        "{qubits}q dense ramp: TRACED batched ({:.4}s) slower than the back-to-back untraced run ({:.4}s)",
+        "{qubits}q dense ramp: TRACED taylor ({:.4}s) slower than the back-to-back untraced run ({:.4}s)",
         traced_sample.min,
         untraced_sample.min
     );
@@ -386,23 +371,18 @@ fn dense_ramp_entry(qubits: usize, segments: usize) -> Json {
         ("segments", Json::Number(segments as f64)),
         ("batch_runs", Json::Number(batch_runs.len() as f64)),
         ("layouts", Json::Number(schedule.num_layouts() as f64)),
-        ("pass_ratio", Json::Number(pass_ratio)),
-        ("wall_speedup_batched_vs_taylor", Json::Number(wall_speedup)),
-        ("max_abs_dev_batched_vs_taylor", Json::Number(max_deviation)),
-        ("traced_batched_wall_min_s", Json::Number(traced_sample.min)),
+        ("max_abs_dev_vs_taylor", Json::Number(max_deviation)),
+        ("traced_taylor_wall_min_s", Json::Number(traced_sample.min)),
         (
-            "retimed_untraced_batched_wall_min_s",
+            "retimed_untraced_taylor_wall_min_s",
             Json::Number(untraced_sample.min),
         ),
-        (
-            "telemetry",
-            telemetry_json(StepperKind::BatchedTaylor, &profile),
-        ),
+        ("telemetry", telemetry_json(StepperKind::Taylor, &profile)),
         (
             "backends",
             Json::Array(vec![
                 backend_json("taylor", &taylor),
-                backend_json("batched_taylor", &batched),
+                backend_json("chebyshev", &chebyshev),
                 backend_json("auto", &auto),
             ]),
         ),
@@ -417,7 +397,7 @@ fn main() {
     );
 
     let mut entries: Vec<Json> = SIZES.iter().map(|&n| size_entry(n)).collect();
-    println!("dense-ramp workload (batched multi-segment sweep gates):");
+    println!("dense-ramp workload (Auto and traced-run gates):");
     for &(qubits, segments) in &DENSE_RAMPS {
         entries.push(dense_ramp_entry(qubits, segments));
     }

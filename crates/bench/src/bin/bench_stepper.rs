@@ -1,28 +1,27 @@
-//! Stepper-backend benchmark: Taylor (per-segment and batched) vs
-//! Lanczos–Krylov vs Chebyshev vs the automatic per-segment selection, on
-//! the two workload shapes the subsystem targets.
+//! Stepper-backend benchmark: Taylor vs Chebyshev vs the automatic
+//! per-segment selection, on the two workload shapes the subsystem targets.
 //!
 //! Writes `BENCH_stepper.json` into the current directory. Workloads:
 //!
 //! * **MIS annealing ramp** (§5.3 shape): 100 piecewise-constant segments
-//!   over 1 µs — many *short* segments, where the per-segment setup cost of
-//!   the high-order backends competes with Taylor's minimal overhead;
+//!   over 1 µs — many *short* segments, where Chebyshev's per-segment setup
+//!   cost competes with Taylor's minimal overhead;
 //! * **Heisenberg quench**: a Néel state evolved for a *long* time under a
 //!   constant Heisenberg chain (`‖H‖·t` in the hundreds) — the regime the
-//!   Krylov and Chebyshev propagators exist for, where Taylor's
-//!   `‖H‖·Δt ≤ ½` splitting burns thousands of kernel applications.
+//!   Chebyshev propagator exists for, where Taylor's `‖H‖·Δt ≤ ½` splitting
+//!   burns thousands of kernel applications.
 //!
 //! For every backend the report records total `H|ψ⟩` kernel applications
 //! (the backend-independent work measure), state-sized amplitude passes
-//! (the memory-traffic measure the batched sweep reduces), wall time, and
-//! the deviation from the Taylor reference state — all must agree at the
-//! 1e-10 level for the comparison to count. The `auto` entry additionally
-//! records its per-segment decisions (`auto_decisions`), and the run
-//! **asserts** the acceptance gates (ci.sh runs this binary, so they are CI
-//! gates): on every workload `auto` is never slower than the worst fixed
-//! backend and lands within 10% of the best fixed backend's wall time, and
-//! on every ramp workload the batched sweep runs the identical series with
-//! strictly fewer amplitude passes, never slower than per-segment Taylor.
+//! (the memory-traffic measure), wall time, and the deviation from the
+//! Taylor reference state — all must agree at the 1e-10 level for the
+//! comparison to count. The `auto` entry additionally records its
+//! per-segment decisions (`auto_decisions`), and the run **asserts** the
+//! acceptance gates (ci.sh runs this binary, so they are CI gates): on
+//! every workload `auto` is never slower than the worst fixed backend and
+//! lands within 10% of the best fixed backend's wall time, and on every
+//! quench Chebyshev (or Auto) beats Taylor on both kernel applications and
+//! wall time.
 //! Every workload entry additionally carries a `telemetry` JSON block (work
 //! totals, recovery counts, worker-pool utilization) from one extra untimed
 //! traced run.
@@ -70,15 +69,14 @@ fn max_abs_deviation(a: &StateVector, b: &StateVector) -> f64 {
 struct BackendResult {
     kind: StepperKind,
     kernel_applications: u64,
-    /// State-sized amplitude passes — the memory-traffic measure the
-    /// batched multi-segment sweep is gated on.
+    /// State-sized amplitude passes — the memory-traffic measure.
     state_passes: u64,
     wall_median_s: f64,
     wall_min_s: f64,
     final_state: StateVector,
     /// Per-segment decision counts in [`StepperKind::fixed`] order;
     /// `Some` only for the `auto` backend.
-    decisions: Option<[u64; 4]>,
+    decisions: Option<[u64; 2]>,
 }
 
 fn backend_json(result: &BackendResult, reference: &StateVector) -> Json {
@@ -146,7 +144,7 @@ fn run_backends(
             let kernel_applications = propagator.kernel_applications();
             let state_passes = propagator.state_passes();
             let decisions = (kind == StepperKind::Auto).then(|| {
-                let mut counts = [0u64; 4];
+                let mut counts = [0u64; 2];
                 for decision in propagator.segment_decisions() {
                     let slot = StepperKind::fixed()
                         .into_iter()
@@ -234,38 +232,6 @@ fn assert_auto_is_competitive(results: &[BackendResult], context: &str) {
     );
 }
 
-/// The batched-sweep acceptance gates, asserted on every ramp-shaped
-/// workload: the batched path runs the identical Taylor series (equal
-/// kernel applications), traverses strictly fewer amplitude passes, and is
-/// never slower than per-segment Taylor on wall time (min statistic, with
-/// the same 2 ms jitter allowance as the auto gates).
-fn assert_batched_beats_per_segment_taylor(results: &[BackendResult], context: &str) {
-    let taylor = results
-        .iter()
-        .find(|r| r.kind == StepperKind::Taylor)
-        .expect("taylor result present");
-    let batched = results
-        .iter()
-        .find(|r| r.kind == StepperKind::BatchedTaylor)
-        .expect("batched result present");
-    assert_eq!(
-        batched.kernel_applications, taylor.kernel_applications,
-        "{context}: the batched sweep must run the identical series"
-    );
-    assert!(
-        batched.state_passes < taylor.state_passes,
-        "{context}: batched spent {} amplitude passes vs per-segment Taylor's {}",
-        batched.state_passes,
-        taylor.state_passes
-    );
-    assert!(
-        batched.wall_min_s <= taylor.wall_min_s + 0.002,
-        "{context}: batched ({:.4}s) is slower than per-segment Taylor ({:.4}s)",
-        batched.wall_min_s,
-        taylor.wall_min_s
-    );
-}
-
 fn ramp_entry(qubits: usize) -> Json {
     println!("  MIS ramp, {qubits} qubits, {RAMP_SEGMENTS} segments:");
     let ramp = mis_chain(qubits, 1.0, 1.0, 1.0, RAMP_TOTAL_TIME, RAMP_SEGMENTS);
@@ -283,7 +249,6 @@ fn ramp_entry(qubits: usize) -> Json {
     });
     print_backends(&results);
     assert_auto_is_competitive(&results, &format!("{qubits}q MIS ramp"));
-    assert_batched_beats_per_segment_taylor(&results, &format!("{qubits}q MIS ramp"));
     let reference = results[0].final_state.clone();
     // One extra untimed traced run provides the workload's telemetry block.
     let profile = traced_profile(&initial, StepperKind::Auto, |propagator, state| {
@@ -322,16 +287,16 @@ fn quench_entry(qubits: usize) -> Json {
     assert_auto_is_competitive(&results, &format!("{qubits}q Heisenberg quench"));
     let reference = results[0].final_state.clone();
 
-    // The acceptance gate of the stepper subsystem: at least one high-order
-    // backend must beat Taylor on BOTH kernel applications and wall time on
-    // the long-time quench.
+    // The acceptance gate of the stepper subsystem: Chebyshev (or Auto,
+    // choosing it) must beat Taylor on BOTH kernel applications and wall
+    // time on the long-time quench.
     let taylor = &results[0];
     let beats = results[1..].iter().any(|r| {
         r.kernel_applications < taylor.kernel_applications && r.wall_median_s < taylor.wall_median_s
     });
     assert!(
         beats,
-        "no high-order backend beat Taylor on the {qubits}-qubit quench"
+        "neither Chebyshev nor Auto beat Taylor on the {qubits}-qubit quench"
     );
 
     // One extra untimed traced run provides the workload's telemetry block.
@@ -358,7 +323,7 @@ fn quench_entry(qubits: usize) -> Json {
 
 fn main() {
     println!(
-        "stepper benchmark: Taylor vs Krylov vs Chebyshev vs Auto, {} worker threads available",
+        "stepper benchmark: Taylor vs Chebyshev vs Auto, {} worker threads available",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
 

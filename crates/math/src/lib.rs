@@ -11,8 +11,6 @@
 //! * derivative-free minimization ([`nelder_mead::NelderMead`]),
 //! * L1-norm regression via iteratively re-weighted least squares ([`l1`]),
 //! * scalar root finding ([`roots`]),
-//! * a symmetric-tridiagonal eigensolver ([`tridiag`]) for the Lanczos–Krylov
-//!   propagator's projected exponentials,
 //! * Bessel functions and Chebyshev expansion coefficients of the complex
 //!   exponential ([`chebyshev`]) for the Chebyshev propagator,
 //! * a small [`Complex`] type used by the state-vector simulator,
@@ -47,7 +45,6 @@ pub mod nelder_mead;
 pub mod qr;
 pub mod rng;
 pub mod roots;
-pub mod tridiag;
 pub mod vector;
 
 pub use complex::Complex;

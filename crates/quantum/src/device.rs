@@ -819,7 +819,7 @@ mod tests {
         use crate::stepper::EvolveOptions;
         let segments = [rabi_segment(3, 2.0, 0.4)];
         let reference = ideal_run(&segments, 3, false);
-        for options in [EvolveOptions::krylov(), EvolveOptions::chebyshev()] {
+        for options in [EvolveOptions::taylor(), EvolveOptions::chebyshev()] {
             let run = EmulatedDevice::ideal()
                 .with_options(options)
                 .run(&segments, 3, false);

@@ -12,9 +12,6 @@
 //!   pre-segment norm by more than [`NORM_DRIFT_LIMIT`](crate::stepper::NORM_DRIFT_LIMIT),
 //!   indicating the expansion diverged rather than merely accumulated
 //!   round-off.
-//! - [`EvolveError::NonConvergence`] — an inner iterative routine (the
-//!   tridiagonal QL eigensolver behind the Krylov backend) failed to
-//!   converge; the originating [`MathError`] is preserved as the source.
 //! - [`EvolveError::OrderOverflow`] — a Chebyshev expansion would require an
 //!   absurd polynomial order (span beyond
 //!   [`MAX_EXP_SPAN`](qturbo_math::chebyshev::MAX_EXP_SPAN)).
@@ -23,8 +20,6 @@
 //! reported through [`RecoveryLog`] rather than as errors.
 
 use std::fmt;
-
-use qturbo_math::MathError;
 
 use crate::stepper::StepperKind;
 
@@ -52,15 +47,6 @@ pub enum EvolveError {
         /// Observed relative drift `|norm - reference| / reference`.
         relative_drift: f64,
     },
-    /// An inner iterative math routine failed to converge.
-    NonConvergence {
-        /// Backend whose inner solver failed.
-        backend: StepperKind,
-        /// Schedule segment index, when evolution ran over a schedule.
-        segment: Option<usize>,
-        /// The originating math-layer error.
-        source: MathError,
-    },
     /// A Chebyshev expansion would need an unreasonably large order.
     OrderOverflow {
         /// Backend that rejected the expansion.
@@ -85,7 +71,6 @@ impl EvolveError {
             Self::InvalidInput { .. } => {}
             Self::NonFiniteState { segment, .. }
             | Self::NormDrift { segment, .. }
-            | Self::NonConvergence { segment, .. }
             | Self::OrderOverflow { segment, .. } => {
                 if segment.is_none() {
                     *segment = Some(index);
@@ -129,18 +114,6 @@ impl fmt::Display for EvolveError {
                     segment_suffix(segment)
                 )
             }
-            Self::NonConvergence {
-                backend,
-                segment,
-                source,
-            } => {
-                write!(
-                    f,
-                    "{} backend solver failed to converge{}: {source}",
-                    backend.name(),
-                    segment_suffix(segment)
-                )
-            }
             Self::OrderOverflow {
                 backend,
                 segment,
@@ -158,14 +131,7 @@ impl fmt::Display for EvolveError {
     }
 }
 
-impl std::error::Error for EvolveError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::NonConvergence { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for EvolveError {}
 
 /// A single recovered failure: the schedule loop fell back to the Taylor
 /// backend after `backend` tripped a guardrail.
@@ -242,14 +208,14 @@ mod tests {
     #[test]
     fn with_segment_stamps_only_missing_indices() {
         let err = EvolveError::NonFiniteState {
-            backend: StepperKind::Krylov,
+            backend: StepperKind::Taylor,
             segment: None,
         };
         let stamped = err.with_segment(4);
         assert_eq!(
             stamped,
             EvolveError::NonFiniteState {
-                backend: StepperKind::Krylov,
+                backend: StepperKind::Taylor,
                 segment: Some(4),
             }
         );
@@ -257,7 +223,7 @@ mod tests {
         assert_eq!(
             restamped,
             EvolveError::NonFiniteState {
-                backend: StepperKind::Krylov,
+                backend: StepperKind::Taylor,
                 segment: Some(4),
             }
         );
@@ -276,26 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn non_convergence_exposes_math_source() {
-        use std::error::Error;
-        let err = EvolveError::NonConvergence {
-            backend: StepperKind::Krylov,
-            segment: None,
-            source: MathError::NoConvergence {
-                routine: "tridiagonal_ql",
-                iterations: 30,
-            },
-        };
-        assert!(err.source().is_some());
-    }
-
-    #[test]
     fn recovery_log_accumulates_and_clears() {
         let mut log = RecoveryLog::default();
         assert!(log.is_empty());
         log.push(RecoveryEvent {
             segment: Some(0),
-            backend: StepperKind::Krylov,
+            backend: StepperKind::Chebyshev,
             fallback: StepperKind::Taylor,
             error: EvolveError::InvalidInput {
                 context: "test".into(),

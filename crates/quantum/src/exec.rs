@@ -717,18 +717,16 @@ fn worker_loop(shared: &PoolShared, id: usize) {
 /// | [`Passes::copy`] | 2 | read src, write dst |
 /// | [`Passes::scale`] | 2 | read + write in place |
 /// | [`Passes::norm`] | 1 | read |
-/// | [`Passes::fill`] | 1 | write |
 /// | [`Passes::axpy`] | 3 | read x, read+write y (`y += a·x`) |
-/// | [`Passes::inner`] | 2 | read both operands |
 /// | [`Passes::apply`] | 2 | read input, write output |
 /// | [`Passes::apply_accumulate`] | 4 | read input, write series, read+write target |
 /// | [`Passes::fused_map`] | 3 | read out, read input, write out |
 /// | [`Passes::rescale`] | 3 | norm (1) + scale (2) |
 ///
 /// Because every stepper ticks these at each operation, `state_passes` is
-/// exact by construction for all backends — including Krylov's
-/// reorthogonalization sweeps and Chebyshev's recurrence, which older
-/// revisions tallied with lumped per-iteration estimates.
+/// exact by construction for all backends — including Chebyshev's
+/// recurrence, which older revisions tallied with lumped per-iteration
+/// estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Passes(u64);
 
@@ -768,19 +766,9 @@ impl Passes {
         self.0 += 1;
     }
 
-    /// One whole-vector fill: 1 pass.
-    pub fn fill(&mut self) {
-        self.0 += 1;
-    }
-
     /// One accumulate `y += a·x`: 3 passes.
     pub fn axpy(&mut self) {
         self.0 += 3;
-    }
-
-    /// One inner product: 2 passes.
-    pub fn inner(&mut self) {
-        self.0 += 2;
     }
 
     /// One kernel application `out = H·input`: 2 passes.
@@ -891,14 +879,12 @@ mod tests {
         passes.copy();
         passes.scale();
         passes.norm();
-        passes.fill();
         passes.axpy();
-        passes.inner();
         passes.apply();
         passes.apply_accumulate();
         passes.fused_map();
         passes.rescale();
-        assert_eq!(passes.count(), 2 + 2 + 1 + 1 + 3 + 2 + 2 + 4 + 3 + 3);
+        assert_eq!(passes.count(), 2 + 2 + 1 + 3 + 2 + 4 + 3 + 3);
         passes.reset();
         assert_eq!(passes.count(), 0);
     }

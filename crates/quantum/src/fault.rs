@@ -3,8 +3,8 @@
 //! A [`FaultInjector`] attaches to a
 //! [`Propagator`](crate::propagate::Propagator) and corrupts evolution at
 //! chosen schedule segment indices: poisoning amplitudes with NaN/Inf/scale
-//! spikes, perturbing the spectral bound handed to the stepper, or forcing
-//! the Krylov QL eigensolver to report non-convergence. All corruption is
+//! spikes, or perturbing the spectral bound handed to the stepper. All
+//! corruption is
 //! seeded and deterministic, so failures found by the conformance grid in
 //! `tests/prop_faults.rs` reproduce exactly.
 //!
@@ -35,8 +35,6 @@ pub enum Fault {
         /// Additive shift applied to the spectral center.
         center_shift: f64,
     },
-    /// Force the Krylov tridiagonal QL eigensolver to report non-convergence.
-    QlNonConvergence,
 }
 
 /// Seeded registry of faults keyed by schedule segment index.
@@ -46,7 +44,7 @@ pub enum Fault {
 ///
 /// let injector = FaultInjector::new(7)
 ///     .with_fault(1, Fault::NanAmplitude)
-///     .with_fault(3, Fault::QlNonConvergence);
+///     .with_fault(3, Fault::InfAmplitude);
 /// assert!(injector.has_faults());
 /// ```
 #[derive(Debug, Clone)]
@@ -116,7 +114,7 @@ impl FaultInjector {
                 amplitudes[target].re *= factor;
                 amplitudes[target].im *= factor;
             }
-            Fault::BoundPerturbation { .. } | Fault::QlNonConvergence => {}
+            Fault::BoundPerturbation { .. } => {}
         }
     }
 
@@ -153,7 +151,7 @@ impl FaultInjector {
                     amp.re *= factor;
                     amp.im *= factor;
                 }
-                Fault::BoundPerturbation { .. } | Fault::QlNonConvergence => {}
+                Fault::BoundPerturbation { .. } => {}
             }
         }
     }
@@ -168,7 +166,13 @@ mod tests {
     fn take_faults_consumes_once() {
         let mut injector = FaultInjector::new(1)
             .with_fault(2, Fault::NanAmplitude)
-            .with_fault(2, Fault::QlNonConvergence)
+            .with_fault(
+                2,
+                Fault::BoundPerturbation {
+                    radius_scale: 0.5,
+                    center_shift: 0.0,
+                },
+            )
             .with_fault(5, Fault::InfAmplitude);
         let taken = injector.take_faults(2);
         assert_eq!(taken.len(), 2);

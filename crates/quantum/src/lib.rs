@@ -14,14 +14,13 @@
 //!   structure-equal segments, with per-segment `O(#terms)` weight swaps
 //!   (and [`CompiledSchedule::scaled_weights`] amplitude-rescaled views that
 //!   share the layouts outright),
-//! * [`stepper`] — the pluggable time-evolution backends: the Taylor
-//!   reference, the batched multi-segment Taylor sweep
-//!   ([`stepper::BatchedTaylorStepper`], which chains runs of same-layout
-//!   schedule segments with fused low-order passes and one run-end drift
-//!   correction), an adaptive Lanczos–Krylov propagator, and a Chebyshev
-//!   expansion, selected anywhere via [`StepperKind`] / [`EvolveOptions`] —
-//!   with [`StepperKind::Auto`] (the default) pricing the backends per
-//!   segment through an [`AutoCostModel`],
+//! * [`stepper`] — the two time-evolution backends: the Taylor reference
+//!   ([`stepper::TaylorStepper`], a batched multi-segment sweep that chains
+//!   runs of same-layout schedule segments with fused low-order passes and
+//!   one run-end drift correction) and a Chebyshev expansion, selected
+//!   anywhere via [`StepperKind`] / [`EvolveOptions`] — with
+//!   [`StepperKind::Auto`] (the default) picking the cheaper of the two per
+//!   segment by a fixed cost rule,
 //! * [`observable`] — the `Z_avg` / `ZZ_avg` metrics of the paper's §7.4,
 //!   evaluated by one fused sweep over the probabilities,
 //! * [`device`] — an [`EmulatedDevice`] that runs compiled pulse segments with
@@ -43,9 +42,9 @@
 //!
 //! Every `H|ψ⟩` kernel application is routed through the [`exec`] layer's
 //! [`ExecutionContext`] — worker count, parallel threshold, and kernel path
-//! in one `Copy` value carried by [`EvolveOptions`] and stored by every
-//! stepper, so one configuration is reused across schedule segments and
-//! device noise realizations:
+//! in one `Copy` value carried by [`EvolveOptions`] and stored by both
+//! steppers (and the realization-block stepper), so one configuration is
+//! reused across schedule segments and device noise realizations:
 //!
 //! * **Pool lifecycle.** Worker threads are spawned once per process on
 //!   first parallel use and parked on a condvar between calls
@@ -93,8 +92,8 @@
 //! The evolution pipeline is panic-free end to end: every entry point has a
 //! fallible `try_*` twin returning [`EvolveError`], and the historical
 //! panicking APIs are thin wrappers over them. The taxonomy partitions
-//! failures into invalid input, non-finite state, norm drift, inner-solver
-//! non-convergence, and Chebyshev order overflow ([`error`] module docs).
+//! failures into invalid input, non-finite state, norm drift, and Chebyshev
+//! order overflow ([`error`] module docs).
 //!
 //! **Guardrails.** Health checks run at run/segment boundaries and reuse the
 //! norms the drift corrections compute anyway, so the happy path pays zero
@@ -103,18 +102,17 @@
 //! [`stepper::NORM_DRIFT_LIMIT`] (1e-6 — six orders above honest round-off)
 //! or any NaN/Inf in a series norm trips the guardrail.
 //!
-//! **Fallback.** When the Krylov or Chebyshev backend fails a guardrail
-//! mid-schedule, [`Propagator`] rolls the state back to the segment boundary
-//! (both backends are rollback-safe by construction) and retries the segment
-//! with the always-works Taylor reference. Each recovery is recorded in a
+//! **Fallback.** When the Chebyshev backend fails a guardrail mid-schedule,
+//! [`Propagator`] rolls the state back to the segment boundary (the backend
+//! is rollback-safe by construction) and retries the segment with the
+//! always-works Taylor reference. Each recovery is recorded in a
 //! [`RecoveryLog`] — inspect it via [`Propagator::recovery_log`] — and under
-//! [`StepperKind::Auto`] the failing backend is demoted for the rest of that
-//! schedule.
+//! [`StepperKind::Auto`] the rest of that schedule runs Taylor.
 //!
 //! **Fault injection.** The [`fault`] module's seeded
 //! [`FaultInjector`] deterministically corrupts
-//! amplitudes (NaN/Inf/scale spikes), perturbs spectral bounds, or forces QL
-//! non-convergence at chosen segment indices:
+//! amplitudes (NaN/Inf/scale spikes) or perturbs spectral bounds at chosen
+//! segment indices:
 //!
 //! ```
 //! use qturbo_quantum::fault::{Fault, FaultInjector};
@@ -162,20 +160,20 @@
 //! **Overhead guarantees.** Disabled telemetry is a no-op: one boolean
 //! check per evolution call, no allocation, no clock reads in the segment
 //! loop, and **no extra amplitude passes** — traced and untraced runs
-//! produce bitwise-identical states, and the relative bench gates
-//! (batched ≤ Taylor wall, Auto within 10% of best) run with telemetry
-//! off, so any accidental hot-path cost fails CI. Enabled telemetry adds
-//! two clock reads plus one buffered event per segment (bounded at
+//! produce bitwise-identical states, and the relative bench gates (Auto
+//! within 10% of the best backend) run with telemetry off, so any
+//! accidental hot-path cost fails CI. Enabled telemetry adds two clock
+//! reads plus one buffered event per segment (bounded at
 //! [`telemetry::MAX_RECORDED_EVENTS`]), and `bench_schedule` additionally
-//! gates a traced run against the untraced Taylor wall time.
+//! gates a traced Taylor run against a back-to-back untraced one.
 //!
 //! **Realization batching.** A block sweep counts work per realization: one
 //! [`compiled::BlockKernel`] application over an `R`-realization block adds
 //! `R` to the application counter and `R`-fold pass deltas, so throughput
 //! numbers stay comparable with the sequential path. The block stepper
-//! reuses the batched-Taylor integration scheme, and its counters fold into
-//! the [`StepperKind::BatchedTaylor`] telemetry slot rather than adding a
-//! backend of their own.
+//! reuses the Taylor integration scheme, and its counters fold into the
+//! [`StepperKind::Taylor`] telemetry slot rather than adding a backend of
+//! their own.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -201,5 +199,5 @@ pub use observable::DiagonalObservables;
 pub use propagate::Propagator;
 pub use schedule::CompiledSchedule;
 pub use state::{RealizationBlock, StateVector};
-pub use stepper::{AutoCostModel, EvolveOptions, SpectralBound, Stepper, StepperKind};
+pub use stepper::{EvolveOptions, SpectralBound, Stepper, StepperKind};
 pub use telemetry::{MetricsRegistry, MetricsSnapshot, Recorder, RunProfile, SpanEvent, TraceSink};

@@ -4,8 +4,8 @@
 //! `H|ψ⟩` is evaluated through the mask-compiled kernels of
 //! [`crate::compiled`] (one branch-free gather pass per Pauli term), and
 //! `exp(−iHt)|ψ⟩` is computed by a pluggable [`Stepper`] backend from
-//! [`crate::stepper`]: the scaled-Taylor reference, the adaptive
-//! Lanczos–Krylov propagator, or the Chebyshev expansion — selected per
+//! [`crate::stepper`]: the scaled-Taylor reference or the Chebyshev
+//! expansion — selected per
 //! [`Propagator`] (or per call through the `*_with` free functions) via
 //! [`EvolveOptions`]. The default, [`StepperKind::Auto`], re-decides **per
 //! segment** from the segment's spectral bound and duration (see
@@ -30,9 +30,10 @@
 //!
 //! `exp(−iHt)` is linear and unitary, so evolution must **preserve the input
 //! norm**, whatever that norm is: `evolve(c·ψ) = c·evolve(ψ)`. Every stepper
-//! drifts off that norm by machine epsilon per internal step, so after each
-//! step the state is rescaled back to its *pre-evolution* norm — a pure
-//! drift correction. (An earlier revision called `normalize()` here, which
+//! drifts off that norm by machine epsilon per internal step, so at the end
+//! of each Chebyshev segment or Taylor run the state is rescaled back to its
+//! *pre-evolution* norm — a pure drift correction. (An earlier revision
+//! called `normalize()` here, which
 //! silently forced every input to unit norm and broke linearity for
 //! unnormalized states.) Truncation thresholds are likewise *relative* to
 //! the input norm, so a state of norm `10⁶` is integrated to the same
@@ -57,8 +58,8 @@ use crate::fault::{Fault, FaultInjector};
 use crate::schedule::{CompiledSchedule, DiagTableScratch, RealizationWeights};
 use crate::state::{RealizationBlock, StateVector};
 use crate::stepper::{
-    BatchedTaylorStepper, BlockTaylorStepper, ChebyshevStepper, EvolveOptions, KrylovStepper,
-    SpectralBound, Stepper, StepperKind, TaylorStepper, MAX_STEP_PHASE, MAX_TAYLOR_ORDER,
+    BlockTaylorStepper, ChebyshevStepper, EvolveOptions, SpectralBound, Stepper, StepperKind,
+    TaylorStepper, MAX_STEP_PHASE, MAX_TAYLOR_ORDER,
 };
 use crate::telemetry::{
     CompileSpan, Recorder, RecoverySpan, RunProfile, ScheduleSpan, SegmentSpan, SpanEvent,
@@ -100,23 +101,21 @@ pub const MAX_RECORDED_DECISIONS: usize = 1 << 16;
 /// use qturbo_hamiltonian::models::ising_chain;
 ///
 /// let compiled = CompiledHamiltonian::compile(&ising_chain(3, 1.0, 1.0));
-/// let mut propagator = Propagator::with_stepper(StepperKind::Krylov);
+/// let mut propagator = Propagator::with_stepper(StepperKind::Chebyshev);
 /// let mut state = StateVector::zero_state(3);
 /// propagator.evolve_in_place(&compiled, &mut state, 0.5);
 /// assert!((state.norm() - 1.0).abs() < 1e-10);
 /// assert!(propagator.kernel_applications() > 0);
-/// assert_eq!(propagator.segment_decisions(), &[StepperKind::Krylov]);
+/// assert_eq!(propagator.segment_decisions(), &[StepperKind::Chebyshev]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Propagator {
     options: EvolveOptions,
     taylor: TaylorStepper,
-    batched: BatchedTaylorStepper,
-    krylov: KrylovStepper,
     chebyshev: ChebyshevStepper,
     /// Structure-of-arrays realization batching (see
     /// [`Propagator::try_evolve_schedule_block`]); counters fold into the
-    /// [`StepperKind::BatchedTaylor`] slot, whose scheme it shares.
+    /// [`StepperKind::Taylor`] slot, whose scheme it shares.
     block: BlockTaylorStepper,
     /// The fixed backend that integrated each segment, in evolution order
     /// since the last reset (for `Auto`, the per-segment cost-model choice;
@@ -177,8 +176,6 @@ impl Propagator {
         Propagator {
             options,
             taylor: TaylorStepper::with_context(options.tolerance, options.execution),
-            batched: BatchedTaylorStepper::with_context(options.tolerance, options.execution),
-            krylov: KrylovStepper::with_context(options.tolerance, options.execution),
             chebyshev: ChebyshevStepper::with_context(options.tolerance, options.execution),
             block: BlockTaylorStepper::with_context(options.tolerance, options.execution),
             decisions: Vec::new(),
@@ -215,36 +212,27 @@ impl Propagator {
     /// construction or the last [`reset_kernel_applications`](Propagator::reset_kernel_applications).
     pub fn kernel_applications(&self) -> u64 {
         self.taylor.kernel_applications()
-            + self.batched.kernel_applications()
             + self.block.kernel_applications()
-            + self.krylov.kernel_applications()
             + self.chebyshev.kernel_applications()
     }
 
     /// Total state-sized amplitude passes across every backend since
     /// construction or the last reset (see
-    /// [`Stepper::state_passes`]) —
-    /// the memory-traffic measure the batched multi-segment sweep is gated
-    /// on in `BENCH_schedule.json`.
+    /// [`Stepper::state_passes`]) — the memory-traffic measure
+    /// `BENCH_schedule.json` records.
     pub fn state_passes(&self) -> u64 {
-        self.taylor.state_passes()
-            + self.batched.state_passes()
-            + self.block.state_passes()
-            + self.krylov.state_passes()
-            + self.chebyshev.state_passes()
+        self.taylor.state_passes() + self.block.state_passes() + self.chebyshev.state_passes()
     }
 
     /// Per-backend `H|ψ⟩` kernel applications since construction or the last
     /// reset, in [`StepperKind::fixed`] order — shows where `Auto` actually
     /// spent the work.
-    pub fn kernel_applications_by_backend(&self) -> [(StepperKind, u64); 4] {
+    pub fn kernel_applications_by_backend(&self) -> [(StepperKind, u64); 2] {
         [
-            (StepperKind::Taylor, self.taylor.kernel_applications()),
             (
-                StepperKind::BatchedTaylor,
-                self.batched.kernel_applications() + self.block.kernel_applications(),
+                StepperKind::Taylor,
+                self.taylor.kernel_applications() + self.block.kernel_applications(),
             ),
-            (StepperKind::Krylov, self.krylov.kernel_applications()),
             (StepperKind::Chebyshev, self.chebyshev.kernel_applications()),
         ]
     }
@@ -268,9 +256,7 @@ impl Propagator {
     /// recorded per-segment decisions, and the recovery log.
     pub fn reset_kernel_applications(&mut self) {
         self.taylor.reset_kernel_applications();
-        self.batched.reset_kernel_applications();
         self.block.reset_kernel_applications();
-        self.krylov.reset_kernel_applications();
         self.chebyshev.reset_kernel_applications();
         self.decisions.clear();
         self.recovery.clear();
@@ -321,11 +307,9 @@ impl Propagator {
         self.injector = injector;
     }
 
-    /// Resolves the backend kind for one segment (the cost-model choice
-    /// under `Auto`) and records the decision (up to
-    /// [`MAX_RECORDED_DECISIONS`]).
-    fn resolve_kind(&mut self, bound: &SpectralBound, duration: f64) -> StepperKind {
-        let kind = self.options.resolve(bound, duration);
+    /// Records the backend that integrates the next segment (up to
+    /// [`MAX_RECORDED_DECISIONS`]) and returns it.
+    fn record_decision(&mut self, kind: StepperKind) -> StepperKind {
         if self.decisions.len() < MAX_RECORDED_DECISIONS {
             self.decisions.push(kind);
         }
@@ -370,15 +354,13 @@ impl Propagator {
         let applications = self.kernel_applications() - run.applications;
         let state_passes = self.state_passes() - run.state_passes;
         let recoveries = (self.recovery.len() - run.recoveries) as u64;
-        // The block path shares the batched-Taylor scheme, so its counters
-        // report under the BatchedTaylor backend slot.
-        let mut batched_span = self.batched.telemetry_span(StepperKind::BatchedTaylor);
-        batched_span.applications += self.block.kernel_applications();
-        batched_span.state_passes += self.block.state_passes();
+        // The block path shares the Taylor scheme, so its counters report
+        // under the Taylor backend slot.
+        let mut taylor_span = self.taylor.telemetry_span(StepperKind::Taylor);
+        taylor_span.applications += self.block.kernel_applications();
+        taylor_span.state_passes += self.block.state_passes();
         let stepper_spans = [
-            self.taylor.telemetry_span(StepperKind::Taylor),
-            batched_span,
-            self.krylov.telemetry_span(StepperKind::Krylov),
+            taylor_span,
             self.chebyshev.telemetry_span(StepperKind::Chebyshev),
         ];
         // The pool accumulator is process-wide: concurrent traced runs (e.g.
@@ -433,12 +415,8 @@ impl Propagator {
     ) {
         let applications = self.kernel_applications() - segment.applications;
         let state_passes = self.state_passes() - segment.state_passes;
-        let predicted_applications = self.options.auto_model.estimated_applications(
-            backend,
-            bound,
-            duration,
-            self.options.tolerance,
-        );
+        let predicted_applications =
+            backend.estimated_applications(bound, duration, self.options.tolerance);
         let wall_ns = segment.started.elapsed().as_nanos() as u64;
         if let Some(recorder) = self.telemetry.as_mut() {
             recorder.record(SpanEvent::Segment(SegmentSpan {
@@ -469,8 +447,6 @@ impl Propagator {
     fn stepper_for(&mut self, kind: StepperKind) -> &mut dyn Stepper {
         match kind {
             StepperKind::Taylor => &mut self.taylor,
-            StepperKind::BatchedTaylor => &mut self.batched,
-            StepperKind::Krylov => &mut self.krylov,
             StepperKind::Chebyshev => &mut self.chebyshev,
             StepperKind::Auto => unreachable!("resolve returns a fixed backend"),
         }
@@ -484,8 +460,9 @@ impl Propagator {
     /// evolution performs no heap allocation.
     ///
     /// The input's norm is **preserved**, not forced to one: an unnormalized
-    /// `c·ψ` evolves to `c·exp(−iHt)ψ` (linearity). After each internal step
-    /// the state is rescaled to its pre-evolution norm as a drift correction.
+    /// `c·ψ` evolves to `c·exp(−iHt)ψ` (linearity). At the end of the
+    /// evolution the state is rescaled to its pre-evolution norm as a drift
+    /// correction.
     ///
     /// # Panics
     ///
@@ -508,9 +485,9 @@ impl Propagator {
     /// reports invalid inputs and tripped numerical guardrails as
     /// [`EvolveError`] instead of panicking.
     ///
-    /// When the Krylov or Chebyshev backend trips a guardrail, the state is
-    /// rolled back to its pre-evolution value (both backends restore the
-    /// entry state on failure), the evolution is retried with the Taylor
+    /// When the Chebyshev backend trips a guardrail, the state is rolled
+    /// back to its pre-evolution value (the backend restores the entry
+    /// state on failure), the evolution is retried with the Taylor
     /// reference, and the failure is recorded in
     /// [`recovery_log`](Propagator::recovery_log) — so a recoverable failure
     /// still returns `Ok` with the correct answer.
@@ -548,17 +525,17 @@ impl Propagator {
         let bound = hamiltonian.spectral_bound();
         let trace = self.begin_trace(hamiltonian.compile_span());
         let segment_trace = self.begin_segment_trace();
-        let kind = self.resolve_kind(&bound, time);
+        let kind = self.record_decision(self.options.resolve(&bound, time));
         let result =
             self.stepper_for(kind)
                 .try_evolve_segment(kernel, &bound, state, time, reference_norm);
         let mut recovered = false;
         match result {
             Ok(()) => {}
-            // Krylov and Chebyshev restore the entry state on failure, so a
-            // Taylor retry starts from clean data. Taylor/BatchedTaylor
-            // leave mid-segment state behind — no safe retry point.
-            Err(error) if matches!(kind, StepperKind::Krylov | StepperKind::Chebyshev) => {
+            // Chebyshev restores the entry state on failure, so a Taylor
+            // retry starts from clean data. Taylor leaves mid-segment state
+            // behind — no safe retry point.
+            Err(error) if kind == StepperKind::Chebyshev => {
                 self.taylor
                     .try_evolve_segment(kernel, &bound, state, time, reference_norm)?;
                 self.record_recovery(RecoveryEvent {
@@ -637,11 +614,11 @@ impl Propagator {
     /// [`evolve_in_place`](Propagator::evolve_in_place) segment by segment,
     /// through whichever backend the options select — with one structural
     /// upgrade: consecutive segments that resolve to
-    /// [`StepperKind::BatchedTaylor`] **and** share a mask layout are chained
+    /// [`StepperKind::Taylor`] **and** share a mask layout are chained
     /// through a single batched sweep
-    /// ([`BatchedTaylorStepper::begin_run`] /
-    /// [`run_segment`](BatchedTaylorStepper::run_segment) /
-    /// [`finish_run`](BatchedTaylorStepper::finish_run)): the masks are read
+    /// ([`TaylorStepper::begin_run`] /
+    /// [`run_segment`](TaylorStepper::run_segment) /
+    /// [`finish_run`](TaylorStepper::finish_run)): the masks are read
     /// once from the shared layout while the weights walk adjacent rows of
     /// the columnar weight matrix, no segment pays a series-copy pass, and
     /// the whole run shares one drift correction instead of per-step
@@ -669,16 +646,14 @@ impl Propagator {
     /// [`evolve_schedule_in_place`](Propagator::evolve_schedule_in_place)
     /// with graceful degradation.
     ///
-    /// When the Krylov or Chebyshev backend trips a guardrail mid-schedule,
-    /// the state is rolled back to the segment boundary (both backends
-    /// restore it on failure), the segment is retried with the Taylor
-    /// reference, and the failure is recorded in
-    /// [`recovery_log`](Propagator::recovery_log). Under
-    /// [`StepperKind::Auto`] the failing backend is additionally demoted for
-    /// the remainder of this schedule, so the cost model cannot hand it
-    /// another segment. Segments corrupted by an attached
-    /// [`FaultInjector`] are snapshotted at their boundary first, so even
-    /// the non-rollback-safe Taylor backends recover there.
+    /// When the Chebyshev backend trips a guardrail mid-schedule, the state
+    /// is rolled back to the segment boundary (the backend restores it on
+    /// failure), the segment is retried with the Taylor reference, and the
+    /// failure is recorded in [`recovery_log`](Propagator::recovery_log).
+    /// Under [`StepperKind::Auto`] the rest of the schedule then runs
+    /// Taylor. Segments corrupted by an attached [`FaultInjector`] are
+    /// snapshotted at their boundary first, so even the non-rollback-safe
+    /// Taylor backend recovers there.
     ///
     /// # Errors
     ///
@@ -714,10 +689,9 @@ impl Propagator {
         let mut diag_scratch = DiagTableScratch::new();
         // The mask layout an open batched sweep is chained on, if any.
         let mut open_run_layout: Option<usize> = None;
-        // Backends demoted for the rest of this schedule by a recovered
-        // failure; only consulted under `Auto`.
-        let mut demoted_krylov = false;
-        let mut demoted_chebyshev = false;
+        // Set by a recovered Chebyshev failure under `Auto`: the rest of
+        // the schedule runs Taylor.
+        let mut chebyshev_demoted = false;
         for index in 0..schedule.num_segments() {
             let duration = schedule.segment_duration(index);
             if duration == 0.0 {
@@ -746,30 +720,11 @@ impl Propagator {
             } else {
                 schedule.segment_bound(index)
             };
-            let kind = if self.options.stepper == StepperKind::Auto
-                && (demoted_krylov || demoted_chebyshev)
-            {
-                let candidates: Vec<StepperKind> = StepperKind::fixed()
-                    .into_iter()
-                    .filter(|candidate| match candidate {
-                        StepperKind::Krylov => !demoted_krylov,
-                        StepperKind::Chebyshev => !demoted_chebyshev,
-                        _ => true,
-                    })
-                    .collect();
-                let kind = self.options.auto_model.choose_among(
-                    &candidates,
-                    &bound,
-                    duration,
-                    self.options.tolerance,
-                );
-                if self.decisions.len() < MAX_RECORDED_DECISIONS {
-                    self.decisions.push(kind);
-                }
-                kind
+            let kind = self.record_decision(if chebyshev_demoted {
+                StepperKind::Taylor
             } else {
-                self.resolve_kind(&bound, duration)
-            };
+                self.options.resolve(&bound, duration)
+            });
             // Snapshot counters before fault arming so the flush of a
             // previous batched run is attributed to the segment forcing it
             // (same attribution as the layout-change flush below).
@@ -787,7 +742,7 @@ impl Propagator {
                 // Flush an open batched run first so the snapshot captures
                 // the true segment-boundary state, not a mid-run one.
                 if open_run_layout.take().is_some() {
-                    self.batched
+                    self.taylor
                         .try_finish_run(state)
                         .map_err(|error| error.with_segment(index))?;
                 }
@@ -804,7 +759,6 @@ impl Propagator {
                             effective_bound.radius *= radius_scale;
                             effective_bound.center += center_shift;
                         }
-                        Fault::QlNonConvergence => self.krylov.force_ql_nonconvergence(),
                         Fault::NanAmplitude
                         | Fault::InfAmplitude
                         | Fault::AmplitudeSpike { .. } => {
@@ -815,22 +769,22 @@ impl Propagator {
                     }
                 }
             }
-            let result = if kind == StepperKind::BatchedTaylor && !has_faults {
+            let result = if kind == StepperKind::Taylor && !has_faults {
                 let layout = schedule.segment_layout(index);
                 if open_run_layout != Some(layout) {
                     if open_run_layout.is_some() {
-                        self.batched
+                        self.taylor
                             .try_finish_run(state)
                             .map_err(|error| error.with_segment(index))?;
                     }
-                    self.batched.begin_run(state, reference_norm);
+                    self.taylor.begin_run(state, reference_norm);
                     open_run_layout = Some(layout);
                 }
-                self.batched
+                self.taylor
                     .try_run_segment(kernel, &effective_bound, state, duration)
             } else {
                 if open_run_layout.take().is_some() {
-                    self.batched
+                    self.taylor
                         .try_finish_run(state)
                         .map_err(|error| error.with_segment(index))?;
                 }
@@ -842,26 +796,21 @@ impl Propagator {
                     reference_norm,
                 )
             };
-            if has_faults {
-                // A forced QL failure must not leak into later, un-faulted
-                // segments when a non-Krylov backend ran this one.
-                self.krylov.clear_forced_ql_failure();
-            }
             if let Err(error) = result {
                 // The segment boundary is recoverable when the fault
                 // snapshot holds it, or the backend restores it on failure
-                // (Krylov, Chebyshev). A mid-run BatchedTaylor or mid-step
-                // Taylor failure without a snapshot has no safe retry point.
-                let recoverable =
-                    has_faults || matches!(kind, StepperKind::Krylov | StepperKind::Chebyshev);
+                // (Chebyshev). A mid-run Taylor failure without a snapshot
+                // has no safe retry point.
+                let recoverable = has_faults || kind == StepperKind::Chebyshev;
                 if !recoverable {
                     return Err(error.with_segment(index));
                 }
                 if has_faults {
                     state.copy_from(&self.fault_snapshot);
                 }
-                // Retry with the Taylor reference and the clean (unperturbed)
-                // bound; the faults were consumed above.
+                // Retry with the Taylor reference (as a run of one: no run is
+                // open here) and the clean (unperturbed) bound; the faults
+                // were consumed above.
                 match self.taylor.try_evolve_segment(
                     kernel,
                     &bound,
@@ -877,11 +826,8 @@ impl Propagator {
                             error: error.with_segment(index),
                         });
                         recovered = true;
-                        match kind {
-                            StepperKind::Krylov => demoted_krylov = true,
-                            StepperKind::Chebyshev => demoted_chebyshev = true,
-                            _ => {}
-                        }
+                        chebyshev_demoted |= self.options.stepper == StepperKind::Auto
+                            && kind == StepperKind::Chebyshev;
                     }
                     Err(retry_error) => {
                         if has_faults {
@@ -901,7 +847,7 @@ impl Propagator {
             None => 0,
         };
         if open_run_layout.is_some() {
-            self.batched.try_finish_run(state)?;
+            self.taylor.try_finish_run(state)?;
         }
         if let Some(run) = trace {
             let finalize_passes = self.state_passes() - pre_finalize_passes;
@@ -953,7 +899,7 @@ impl Propagator {
     /// scalar weight row and applies the per-realization scale lane once
     /// per accumulated row (`CompiledSchedule::realization_weights`
     /// precomputes the lane-strided scale pairs). The entire schedule is
-    /// integrated with the batched-Taylor scheme as **one chained run** —
+    /// integrated with the Taylor scheme as **one chained run** —
     /// layout changes swap weight slices without flushing — closed by a
     /// single per-realization drift correction.
     ///
@@ -1044,10 +990,8 @@ impl Propagator {
                 schedule.segment_bound(index)
             };
             // The block path has exactly one backend; record the decision so
-            // introspection matches the sequential BatchedTaylor sweep.
-            if self.decisions.len() < MAX_RECORDED_DECISIONS {
-                self.decisions.push(StepperKind::BatchedTaylor);
-            }
+            // introspection matches the sequential Taylor sweep.
+            self.record_decision(StepperKind::Taylor);
             let segment_trace = self.begin_segment_trace();
             let mut recovered = false;
             let faults = match self.injector.as_mut() {
@@ -1082,10 +1026,6 @@ impl Propagator {
                             effective_bound.radius *= radius_scale;
                             effective_bound.center += center_shift;
                         }
-                        // No Krylov runs inside a block sweep; consuming the
-                        // fault without arming anything mirrors a non-Krylov
-                        // backend handling the segment on the scalar path.
-                        Fault::QlNonConvergence => {}
                         Fault::NanAmplitude
                         | Fault::InfAmplitude
                         | Fault::AmplitudeSpike { .. } => {
@@ -1131,8 +1071,8 @@ impl Propagator {
                         Ok(()) => {
                             self.record_recovery(RecoveryEvent {
                                 segment: Some(index),
-                                backend: StepperKind::BatchedTaylor,
-                                fallback: StepperKind::BatchedTaylor,
+                                backend: StepperKind::Taylor,
+                                fallback: StepperKind::Taylor,
                                 error: error.with_segment(index),
                             });
                             recovered = true;
@@ -1160,7 +1100,7 @@ impl Propagator {
                     duration,
                 );
                 if let Err(error) = result {
-                    // No fault snapshot: the batched scheme is not
+                    // No fault snapshot: the Taylor scheme is not
                     // rollback-safe mid-run, so there is no safe retry point.
                     return Err(error.with_segment(index));
                 }
@@ -1170,7 +1110,7 @@ impl Propagator {
                 self.finish_segment_trace(
                     segment,
                     Some(index),
-                    StepperKind::BatchedTaylor,
+                    StepperKind::Taylor,
                     duration,
                     &bound,
                     recovered,
@@ -1299,11 +1239,12 @@ pub fn try_evolve_with(
     Ok(current)
 }
 
-/// The scalar reference implementation of [`evolve`]: identical stepping,
-/// truncation, and norm semantics to the Taylor backend (pre-evolution norm
+/// The scalar reference implementation of [`evolve`]: the Taylor backend's
+/// step splitting, truncation, and norm semantics (pre-evolution norm
 /// preserved, relative truncation), but every `H|ψ⟩` goes through
-/// [`apply_hamiltonian_naive`] and every Taylor iteration allocates. Retained
-/// for property tests and the `BENCH_propagation.json` baseline.
+/// [`apply_hamiltonian_naive`], every Taylor iteration allocates, and the
+/// drift correction runs after every step rather than once per run.
+/// Retained for property tests and the `BENCH_propagation.json` baseline.
 ///
 /// # Panics
 ///
@@ -1341,14 +1282,14 @@ fn naive_taylor_step(
     reference_norm: f64,
 ) -> StateVector {
     let mut result = state.clone();
-    let mut krylov = state.clone();
+    let mut power = state.clone();
     let mut factor = Complex::ONE;
     let threshold = TAYLOR_TOLERANCE * reference_norm;
     for k in 1..=MAX_TAYLOR_ORDER {
-        krylov = apply_hamiltonian_naive(hamiltonian, &krylov);
+        power = apply_hamiltonian_naive(hamiltonian, &power);
         factor = factor * Complex::new(0.0, -dt) / (k as f64);
-        result.accumulate(factor, &krylov);
-        if krylov.norm() * factor.abs() < threshold {
+        result.accumulate(factor, &power);
+        if power.norm() * factor.abs() < threshold {
             break;
         }
     }

@@ -428,12 +428,12 @@ impl CompiledSchedule {
     /// This is a *conservative predictor*, not the grouping the evolution
     /// actually executes:
     /// [`Propagator::evolve_schedule_in_place`](crate::Propagator::evolve_schedule_in_place)
-    /// chains whatever consecutive same-layout segments the cost model
-    /// resolves to [`StepperKind::BatchedTaylor`](crate::StepperKind) — which
-    /// can include multi-step segments the single-step criterion here
-    /// excludes (batched evolution is numerically valid for *any* segment:
-    /// it runs the per-segment Taylor series with identical step splitting
-    /// and truncation, so it meets the [`EvolveOptions`](crate::EvolveOptions)
+    /// chains whatever consecutive same-layout segments resolve to
+    /// [`StepperKind::Taylor`](crate::StepperKind) — which can include
+    /// multi-step segments the single-step criterion here excludes (batched
+    /// evolution is numerically valid for *any* segment: it runs the Taylor
+    /// series with its usual step splitting and truncation, so it meets the
+    /// [`EvolveOptions`](crate::EvolveOptions)
     /// tolerance by construction; the conformance suite pins it to the naive
     /// reference on every scenario family). Use this for planning and
     /// reporting — e.g. "is this schedule ramp-shaped?" — and

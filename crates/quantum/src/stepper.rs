@@ -1,38 +1,24 @@
-//! Pluggable time-evolution steppers: Taylor (per-segment and batched),
-//! Lanczos–Krylov, and Chebyshev backends behind one [`Stepper`] trait.
+//! Pluggable time-evolution steppers: a batched Taylor series and a
+//! Chebyshev expansion behind one [`Stepper`] trait.
 //!
-//! # Why four backends
+//! # Why two backends
 //!
 //! The mask-compiled kernel made each `H|ψ⟩` application cheap, so the cost
 //! of evolving a segment is essentially *how many applications the
 //! integration scheme needs per unit time* — and, for trains of tiny
 //! segments, how many state-sized *memory passes* ride along with them:
 //!
-//! * **[`TaylorStepper`]** — the original scheme: split the segment into
-//!   steps with `‖H‖·Δt ≤ ½` and sum the Taylor series per step. Cost scales
-//!   as `O(‖H‖·t · k̄)` applications with `k̄ ≈ 8` series orders per step —
-//!   robust, zero setup, and the reference the other backends are pinned
-//!   against. Best for short segments (`‖H‖·t ≲ 1`) where its minimal
-//!   per-step overhead wins.
-//! * **[`BatchedTaylorStepper`]** — the *same series*, evaluated as a
-//!   batched multi-segment sweep: no per-step series copy (the first
-//!   application reads the state directly, its term retired in a fused
-//!   first-and-second-order traversal), and consecutive same-layout
-//!   schedule segments share one run-end drift correction instead of
-//!   per-step norm-and-rescale passes. Identical applications, ~15–25%
-//!   fewer amplitude passes on dense ramps — the backend the ROADMAP's
-//!   "batched multi-segment kernels" item asked for.
-//! * **[`KrylovStepper`]** — Lanczos: project `H` onto an `m`-dimensional
-//!   Krylov subspace (one application per basis vector, `m ≲ 32`),
-//!   exponentiate the projected tridiagonal matrix exactly through the
-//!   [`qturbo_math::tridiag`] eigensolver, and advance by the largest `Δt`
-//!   the residual estimate admits. The basis dimension adapts: construction
-//!   stops as soon as the residual for the remaining duration converges, and
-//!   the step size adapts when even the full basis cannot cover the segment
-//!   in one hop. Costs `O(m)` applications per step with steps that are
-//!   typically `‖H‖·Δt ≈ m` wide — an order of magnitude fewer applications
-//!   than Taylor on long segments, at the price of `m` retained basis
-//!   vectors and `O(m²)` orthogonalization sweeps per step.
+//! * **[`TaylorStepper`]** — split the segment into steps with `‖H‖·Δt ≤ ½`
+//!   and sum the Taylor series per step. Cost scales as `O(‖H‖·t · k̄)`
+//!   applications with `k̄ ≈ 8` series orders per step — robust, zero
+//!   setup, and the reference the Chebyshev backend is pinned against. The
+//!   series is evaluated as a batched multi-segment sweep: no per-step series
+//!   copy (the first application reads the state directly, its term retired
+//!   in a fused first-and-second-order traversal), and consecutive
+//!   same-layout schedule segments share one run-end drift correction
+//!   instead of per-step norm-and-rescale passes. Best for short segments
+//!   (`‖H‖·t ≲ 1`) and trains of them, where its minimal per-step overhead
+//!   wins.
 //! * **[`ChebyshevStepper`]** — expand `exp(−i·t·H)` in Chebyshev
 //!   polynomials of `H` mapped onto the spectral interval estimated from the
 //!   compiled term weights ([`SpectralBound`]), with Bessel-function
@@ -42,40 +28,35 @@
 //!   scratch vectors regardless of duration. Best when `‖H‖·t ≫ 1` and the
 //!   spectral-interval estimate is tight (e.g. diagonal-dominated models).
 //!
+//! Two backends are enough: a Lanczos–Krylov propagator lost to Chebyshev on
+//! every measured quench and to Taylor on every ramp, and an unbatched Taylor
+//! loop only adds overhead passes to the same series.
+//!
 //! # Choosing a stepper
 //!
-//! Rule of thumb: batched Taylor for trains of tiny segments (a discretized
-//! ramp), Krylov for schedules of medium segments (its basis pays off within
-//! each segment and the adaptive step absorbs norm spikes), Chebyshev for
-//! long quenches under one Hamiltonian. `BENCH_stepper.json` tracks all
-//! backends on both shapes.
+//! Rule of thumb: Taylor for trains of tiny segments (a discretized ramp),
+//! Chebyshev for long quenches under one Hamiltonian. `BENCH_stepper.json`
+//! tracks both backends on both shapes.
 //!
 //! You rarely need to pick by hand: [`StepperKind::Auto`] — the default —
-//! prices every backend per segment from the segment's [`SpectralBound`] and
-//! duration through an [`AutoCostModel`] and runs the cheapest one. The
-//! model estimates each backend's `H|ψ⟩` application count (Taylor from its
-//! `‖H‖·Δt ≤ ½` step splitting and series order, Chebyshev *exactly* from
-//! the truncation order of its expansion via
-//! [`qturbo_math::chebyshev::chebyshev_exp_order`], Krylov from a linear
-//! phase model fitted to `BENCH_stepper.json`) and weights it by a relative
-//! wall-clock cost per application (Krylov's orthogonalization sweeps make
-//! its applications ~2.5x a Taylor application; Chebyshev's interval mapping
-//! adds ~15%). The decision is per *segment*, so a schedule of short ramp
+//! prices both backends per segment from the segment's [`SpectralBound`] and
+//! duration and runs the cheaper one. The price starts from each backend's
+//! `H|ψ⟩` application count
+//! ([`StepperKind::estimated_applications`]: Taylor from its `‖H‖·Δt ≤ ½`
+//! step splitting and series order, Chebyshev *exactly* from the truncation
+//! order of its expansion via
+//! [`qturbo_math::chebyshev::chebyshev_exp_order`]) and adds fixed overheads
+//! in application-equivalents: Taylor's amortized drift correction per step,
+//! Chebyshev's per-segment setup and its ~15% dearer applications (the
+//! interval mapping). The constants are fitted to `BENCH_stepper.json` and
+//! fixed. The decision is per *segment*, so a schedule of short ramp
 //! segments runs Taylor while a long quench in the same process runs
-//! Chebyshev — and the crossovers are data, not code: override the
-//! calibration via [`EvolveOptions::with_auto_model`].
+//! Chebyshev.
 //!
-//! With the default calibration Krylov is never the predicted winner — the
-//! measured crossovers have Chebyshev beating it whenever both beat Taylor,
-//! because a compile-time model cannot see Krylov's true advantages (state
-//! adaptivity, happy breakdown on invariant subspaces). Callers who know
-//! their states live in small Krylov subspaces can steer the model (raise
-//! `chebyshev_application_cost`) or pin [`StepperKind::Krylov`] outright.
-//!
-//! Pick a fixed backend explicitly when benchmarking backends against each
-//! other, when reproducing the scalar Taylor reference bit-for-bit, or when
-//! the spectral bound is known to be very loose (Auto prices Chebyshev off
-//! the bound, so a loose bound inflates its estimate — and its actual work).
+//! Pick a fixed backend explicitly when benchmarking the backends against
+//! each other, or when the spectral bound is known to be very loose (Auto
+//! prices Chebyshev off the bound, so a loose bound inflates its estimate —
+//! and its actual work).
 //!
 //! # Contract
 //!
@@ -102,25 +83,18 @@ use crate::state::{RealizationBlock, StateVector};
 use qturbo_math::chebyshev::{
     try_chebyshev_exp_coefficients, try_chebyshev_exp_order, MAX_EXP_SPAN,
 };
-use qturbo_math::tridiag::{SymmetricTridiagonal, TridiagonalEigen};
-use qturbo_math::{Complex, MathError};
+use qturbo_math::Complex;
 
 /// Maximum Taylor series order per step (safety rail; the series converges
 /// in a handful of orders at `‖H‖·Δt ≤ ½`).
 pub(crate) const MAX_TAYLOR_ORDER: usize = 64;
 /// Default truncation tolerance, *relative* to the norm of the state being
-/// evolved. Shared by all backends so they agree to the benchmark's 1e-10
+/// evolved. Shared by both backends so they agree to the benchmark's 1e-10
 /// comparison threshold with headroom.
 pub(crate) const DEFAULT_TOLERANCE: f64 = 1e-14;
 /// Taylor evolution is split into steps with `strength · Δt` at most this
 /// value so each step's series converges in a handful of orders.
 pub(crate) const MAX_STEP_PHASE: f64 = 0.5;
-/// Largest Lanczos basis dimension before the Krylov stepper falls back to
-/// shrinking the step instead of growing the basis.
-const KRYLOV_MAX_DIM: usize = 32;
-/// Krylov basis construction below which no residual test is attempted (the
-/// estimate is meaningless for one or two vectors).
-const KRYLOV_MIN_DIM: usize = 3;
 /// Largest relative norm drift `|‖ψ‖ − reference| / reference` tolerated at
 /// a drift-correction point before the guardrail reports
 /// [`EvolveError::NormDrift`]. Honest round-off accumulates at ~1e-12 over
@@ -129,27 +103,33 @@ const KRYLOV_MIN_DIM: usize = 3;
 /// many orders of magnitude, not fractions of an ulp).
 pub const NORM_DRIFT_LIMIT: f64 = 1e-6;
 
+/// Taylor's per-step overhead in application-equivalents: the amortized
+/// run-end drift correction plus the occasional standalone first-order
+/// accumulate. Small next to the ~8 applications of a step, which is why
+/// ramp-style trains of tiny segments stay on Taylor.
+const TAYLOR_STEP_OVERHEAD: f64 = 0.3;
+/// Relative wall cost of one Chebyshev kernel application, in units of one
+/// Taylor application (the spectral interval mapping adds one
+/// subtract-and-scale pass, ~1.1x measured).
+const CHEBYSHEV_APPLICATION_COST: f64 = 1.15;
+/// Chebyshev's per-segment setup, in application-equivalents: the
+/// Bessel-coefficient build plus the fixed state-sized passes (seed the
+/// recurrence, apply the global phase, rescale) that every segment pays
+/// regardless of expansion order.
+const CHEBYSHEV_BASE_APPLICATIONS: f64 = 3.0;
+
 /// Which time-evolution backend to use. See the [module docs](self) for the
 /// cost model of each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepperKind {
-    /// Scaled-and-squared Taylor series (`‖H‖·Δt ≤ ½` splitting) — the
-    /// reference backend.
+    /// Scaled Taylor series (`‖H‖·Δt ≤ ½` splitting) evaluated by the
+    /// batched multi-segment sweep ([`TaylorStepper`]) — the reference
+    /// backend.
     Taylor,
-    /// The Taylor series evaluated by the batched multi-segment sweep
-    /// ([`BatchedTaylorStepper`]): identical step splitting, series orders,
-    /// and truncation rule, but the per-step series copy is gone (the first
-    /// application reads the state directly, its term retired in a fused
-    /// first-and-second-order pass) and consecutive same-layout schedule
-    /// segments share a single run-end drift correction instead of paying
-    /// norm-and-rescale passes every step.
-    BatchedTaylor,
-    /// Adaptive Lanczos–Krylov propagator.
-    Krylov,
     /// Chebyshev polynomial expansion over the estimated spectral interval.
     Chebyshev,
-    /// Pick the cheapest fixed backend **per segment** from the segment's
-    /// [`SpectralBound`] and duration through an [`AutoCostModel`] (see
+    /// Pick the cheaper fixed backend **per segment** from the segment's
+    /// [`SpectralBound`] and duration (see
     /// [Choosing a stepper](self#choosing-a-stepper)). The default.
     #[default]
     Auto,
@@ -160,8 +140,6 @@ impl StepperKind {
     pub fn name(self) -> &'static str {
         match self {
             StepperKind::Taylor => "taylor",
-            StepperKind::BatchedTaylor => "batched_taylor",
-            StepperKind::Krylov => "krylov",
             StepperKind::Chebyshev => "chebyshev",
             StepperKind::Auto => "auto",
         }
@@ -169,43 +147,118 @@ impl StepperKind {
 
     /// Every selectable kind, fixed backends first (reference-first order),
     /// [`Auto`](StepperKind::Auto) last.
-    pub fn all() -> [StepperKind; 5] {
+    pub fn all() -> [StepperKind; 3] {
         [
             StepperKind::Taylor,
-            StepperKind::BatchedTaylor,
-            StepperKind::Krylov,
             StepperKind::Chebyshev,
             StepperKind::Auto,
         ]
     }
 
-    /// The four fixed backends, in reference-first order — the concrete
+    /// The two fixed backends, in reference-first order — the concrete
     /// integration schemes [`Auto`](StepperKind::Auto) chooses between.
-    pub fn fixed() -> [StepperKind; 4] {
-        [
-            StepperKind::Taylor,
-            StepperKind::BatchedTaylor,
-            StepperKind::Krylov,
-            StepperKind::Chebyshev,
-        ]
+    pub fn fixed() -> [StepperKind; 2] {
+        [StepperKind::Taylor, StepperKind::Chebyshev]
+    }
+
+    /// Estimated `H|ψ⟩` applications this backend spends on one segment
+    /// with spectral bound `bound`, duration `duration`, and relative
+    /// tolerance `tolerance` — the prediction telemetry's segment spans
+    /// compare against the measured count.
+    ///
+    /// Taylor is modeled from its step splitting and per-step series order;
+    /// Chebyshev is **exact** (the truncation order of its expansion).
+    ///
+    /// Returns `None` for [`StepperKind::Auto`], which has no application
+    /// count of its own. A Chebyshev expansion whose span overflows the
+    /// supported truncation order prices as `f64::INFINITY` (never chosen,
+    /// never panics).
+    pub fn estimated_applications(
+        self,
+        bound: &SpectralBound,
+        duration: f64,
+        tolerance: f64,
+    ) -> Option<f64> {
+        match self {
+            StepperKind::Taylor => {
+                // ‖H|ψ⟩‖ ≤ max|eig| ≤ |center| + radius: the scale that
+                // drives the series order.
+                let spectral_scale = bound.center.abs() + bound.radius;
+                let steps = taylor_steps(bound, duration);
+                let theta = spectral_scale * duration / steps;
+                Some(steps * series_orders(theta, tolerance) as f64)
+            }
+            StepperKind::Chebyshev => Some(
+                try_chebyshev_exp_order(bound.radius * duration, tolerance)
+                    .map_or(f64::INFINITY, |order| order as f64),
+            ),
+            StepperKind::Auto => None,
+        }
+    }
+}
+
+/// Estimated relative wall cost of the Taylor backend on one segment, in
+/// units of one Taylor application: its applications plus the per-step
+/// overhead.
+fn taylor_cost(bound: &SpectralBound, duration: f64, tolerance: f64) -> f64 {
+    StepperKind::Taylor
+        .estimated_applications(bound, duration, tolerance)
+        .unwrap_or(f64::INFINITY)
+        + taylor_steps(bound, duration) * TAYLOR_STEP_OVERHEAD
+}
+
+/// Estimated relative wall cost of the Chebyshev backend on one segment, in
+/// units of one Taylor application: its applications plus the per-segment
+/// setup, at the dearer Chebyshev application cost.
+fn chebyshev_cost(bound: &SpectralBound, duration: f64, tolerance: f64) -> f64 {
+    (StepperKind::Chebyshev
+        .estimated_applications(bound, duration, tolerance)
+        .unwrap_or(f64::INFINITY)
+        + CHEBYSHEV_BASE_APPLICATIONS)
+        * CHEBYSHEV_APPLICATION_COST
+}
+
+/// The [`StepperKind::Auto`] rule: the cheaper of Taylor and Chebyshev for
+/// one segment, a dead heat going to Taylor.
+///
+/// Always equal to comparing [`taylor_cost`] with [`chebyshev_cost`], but
+/// with a fast path for short segments: the exact Chebyshev pricing runs an
+/// `O(span)` Bessel recurrence (with a heap allocation), which on schedules
+/// of thousands of tiny segments would rival the evolution it prices. For
+/// `span ≤ 2` a rigorous lower bound on the expansion order (`J_k(z) ≥
+/// ½·(z/2)ᵏ/k!` there, so the first `k` with `(z/2)ᵏ/k! < tolerance` cannot
+/// be past the truncation point) prices Chebyshev out without touching the
+/// recurrence whenever even that floor loses to Taylor.
+fn auto_choice(bound: &SpectralBound, duration: f64, tolerance: f64) -> StepperKind {
+    let taylor = taylor_cost(bound, duration, tolerance);
+    let span = bound.radius * duration;
+    if span > 0.0 && span <= 2.0 {
+        let floor_cost = (series_orders(span / 2.0, tolerance) as f64
+            + CHEBYSHEV_BASE_APPLICATIONS)
+            * CHEBYSHEV_APPLICATION_COST;
+        if floor_cost >= taylor {
+            return StepperKind::Taylor;
+        }
+    }
+    if chebyshev_cost(bound, duration, tolerance) < taylor {
+        StepperKind::Chebyshev
+    } else {
+        StepperKind::Taylor
     }
 }
 
 /// Evolution options threaded through every propagation entry point: which
-/// backend integrates each segment, at what relative tolerance, and — for
-/// [`StepperKind::Auto`] — under which cost calibration.
+/// backend integrates each segment, at what relative tolerance, and how the
+/// kernels execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvolveOptions {
     /// The backend used for every segment ([`StepperKind::Auto`], the
     /// default, re-decides per segment).
     pub stepper: StepperKind,
-    /// Truncation / residual tolerance, relative to the evolved state's
-    /// norm. All backends interpret it per internal step, mirroring the
-    /// original Taylor truncation semantics.
+    /// Truncation tolerance, relative to the evolved state's norm. Both
+    /// backends interpret it per internal step, mirroring the original
+    /// Taylor truncation semantics.
     pub tolerance: f64,
-    /// The cost calibration [`StepperKind::Auto`] decides with; ignored by
-    /// the fixed backends.
-    pub auto_model: AutoCostModel,
     /// How every `H|ψ⟩` kernel application executes: worker count, parallel
     /// threshold, and kernel path (see [`ExecutionContext`]). Stored by each
     /// stepper at construction, so one configuration is reused across all
@@ -235,7 +288,6 @@ impl Default for EvolveOptions {
         EvolveOptions {
             stepper: StepperKind::default(),
             tolerance: DEFAULT_TOLERANCE,
-            auto_model: AutoCostModel::default(),
             execution: ExecutionContext::auto(),
             telemetry: crate::telemetry::env_enabled(),
             realization_block: false,
@@ -255,16 +307,6 @@ impl EvolveOptions {
     /// The Taylor reference backend.
     pub fn taylor() -> Self {
         EvolveOptions::new(StepperKind::Taylor)
-    }
-
-    /// The batched multi-segment Taylor sweep.
-    pub fn batched_taylor() -> Self {
-        EvolveOptions::new(StepperKind::BatchedTaylor)
-    }
-
-    /// The Lanczos–Krylov backend.
-    pub fn krylov() -> Self {
-        EvolveOptions::new(StepperKind::Krylov)
     }
 
     /// The Chebyshev backend.
@@ -288,13 +330,6 @@ impl EvolveOptions {
             "tolerance must be positive and finite"
         );
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Replaces the [`StepperKind::Auto`] cost calibration (the crossover
-    /// knobs; a no-op unless the selected stepper is `Auto`).
-    pub fn with_auto_model(mut self, model: AutoCostModel) -> Self {
-        self.auto_model = model;
         self
     }
 
@@ -332,245 +367,21 @@ impl EvolveOptions {
 
     /// The backend that will actually integrate a segment with spectral
     /// bound `bound` and duration `duration` under these options: the fixed
-    /// stepper itself, or the [`AutoCostModel`]'s per-segment choice.
+    /// stepper itself, or the [`StepperKind::Auto`] rule's per-segment
+    /// choice.
     pub fn resolve(&self, bound: &SpectralBound, duration: f64) -> StepperKind {
         match self.stepper {
-            StepperKind::Auto => self.auto_model.choose(bound, duration, self.tolerance),
+            StepperKind::Auto => auto_choice(bound, duration, self.tolerance),
             fixed => fixed,
         }
     }
 }
 
-/// The calibration [`StepperKind::Auto`] prices backends with: estimated
-/// `H|ψ⟩` application counts weighted by per-application relative wall cost.
-///
-/// The defaults are fitted against `BENCH_stepper.json` (MIS ramp and
-/// Heisenberg-quench workloads, see
-/// [Choosing a stepper](self#choosing-a-stepper)); every field is public so
-/// callers with different hardware or workload shapes can re-calibrate
-/// through [`EvolveOptions::with_auto_model`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoCostModel {
-    /// Relative wall cost of one Taylor kernel application (the unit: its
-    /// fused apply-accumulate pass is the cheapest application there is).
-    pub taylor_application_cost: f64,
-    /// Relative wall cost of one Krylov kernel application. The Lanczos
-    /// full-reorthogonalization sweeps and projected eigensolves ride along
-    /// with every application, measured at ~2–3.3x a Taylor application in
-    /// `BENCH_stepper.json`.
-    pub krylov_application_cost: f64,
-    /// Relative wall cost of one Chebyshev kernel application (the spectral
-    /// interval mapping adds one subtract-and-scale pass, ~1.1x measured).
-    pub chebyshev_application_cost: f64,
-    /// Chebyshev's per-segment setup, in application-equivalents: the
-    /// Bessel-coefficient build plus the fixed state-sized passes (seed the
-    /// recurrence, apply the global phase, rescale) that every segment pays
-    /// regardless of expansion order. This is what keeps Taylor the choice
-    /// on many-short-segment ramps, matching the measured wall times.
-    pub chebyshev_base_applications: f64,
-    /// Estimated Krylov applications per unit of spectral phase
-    /// (`radius · Δt`). `BENCH_stepper.json` measures 1.5–1.8 on the
-    /// quenches; the default is deliberately pessimistic.
-    pub krylov_applications_per_phase: f64,
-    /// Krylov's per-segment floor: even a tiny segment builds a minimal
-    /// Lanczos basis (~9 applications per segment measured on the MIS ramp).
-    pub krylov_base_applications: f64,
-    /// Relative wall cost of one batched-Taylor kernel application — the
-    /// same fused passes the per-segment Taylor path runs (the batched
-    /// sweep adds no per-gather work anywhere), so the default is unity.
-    pub batched_taylor_application_cost: f64,
-    /// Per-step overhead of the **per-segment** Taylor path in
-    /// application-equivalents: the `copy_from` seed of the series plus the
-    /// norm-and-rescale drift correction — roughly five state-sized
-    /// traversals against the ~four of one fused kernel application.
-    pub taylor_step_overhead_applications: f64,
-    /// Per-step overhead of the **batched** sweep in
-    /// application-equivalents: the amortized run-end drift correction plus
-    /// the occasional standalone first-order accumulate. This undercutting
-    /// [`taylor_step_overhead_applications`](AutoCostModel::taylor_step_overhead_applications)
-    /// is exactly why ramp-style trains of tiny segments batch while long
-    /// quench segments (where the overhead is negligible next to thousands
-    /// of applications) still go to Chebyshev.
-    pub batched_step_overhead_applications: f64,
-}
-
-impl Default for AutoCostModel {
-    fn default() -> Self {
-        AutoCostModel {
-            taylor_application_cost: 1.0,
-            krylov_application_cost: 2.5,
-            chebyshev_application_cost: 1.15,
-            chebyshev_base_applications: 3.0,
-            krylov_applications_per_phase: 2.0,
-            krylov_base_applications: 8.0,
-            batched_taylor_application_cost: 1.0,
-            taylor_step_overhead_applications: 1.2,
-            batched_step_overhead_applications: 0.3,
-        }
-    }
-}
-
-impl AutoCostModel {
-    /// Estimated `H|ψ⟩` applications `kind` spends on one segment with
-    /// spectral bound `bound`, duration `duration`, and relative tolerance
-    /// `tolerance`.
-    ///
-    /// Taylor is modeled from its step splitting and per-step series order,
-    /// Chebyshev is **exact** (the truncation order of its expansion), and
-    /// Krylov is a linear phase model fitted to `BENCH_stepper.json`.
-    ///
-    /// Returns `None` for [`StepperKind::Auto`] — Auto has no application
-    /// count of its own (estimate the fixed backends and take the minimum,
-    /// which is what [`choose`](AutoCostModel::choose) does). A Chebyshev
-    /// expansion whose span overflows the supported truncation order prices
-    /// as `f64::INFINITY` (never chosen, never panics).
-    pub fn estimated_applications(
-        &self,
-        kind: StepperKind,
-        bound: &SpectralBound,
-        duration: f64,
-        tolerance: f64,
-    ) -> Option<f64> {
-        // ‖H|ψ⟩‖ ≤ max|eig| ≤ |center| + radius: the scale that drives both
-        // the Taylor series order and the Krylov phase.
-        let spectral_scale = bound.center.abs() + bound.radius;
-        match kind {
-            // The batched sweep runs the identical series: same step
-            // splitting, same orders, same truncation — only the overhead
-            // passes differ, and those live in `estimated_cost`.
-            StepperKind::Taylor | StepperKind::BatchedTaylor => {
-                let steps = taylor_steps(bound, duration);
-                let theta = spectral_scale * duration / steps;
-                Some(steps * series_orders(theta, tolerance) as f64)
-            }
-            StepperKind::Krylov => Some(
-                self.krylov_base_applications
-                    + self.krylov_applications_per_phase * bound.radius * duration,
-            ),
-            StepperKind::Chebyshev => Some(
-                try_chebyshev_exp_order(bound.radius * duration, tolerance)
-                    .map_or(f64::INFINITY, |order| order as f64),
-            ),
-            StepperKind::Auto => None,
-        }
-    }
-
-    /// Estimated relative wall cost of `kind` on one segment: estimated
-    /// applications (plus Chebyshev's per-segment setup) × per-application
-    /// cost.
-    ///
-    /// Returns `None` for [`StepperKind::Auto`] (see
-    /// [`estimated_applications`](AutoCostModel::estimated_applications)).
-    pub fn estimated_cost(
-        &self,
-        kind: StepperKind,
-        bound: &SpectralBound,
-        duration: f64,
-        tolerance: f64,
-    ) -> Option<f64> {
-        let applications = self.estimated_applications(kind, bound, duration, tolerance)?;
-        match kind {
-            StepperKind::Taylor => Some(
-                (applications
-                    + taylor_steps(bound, duration) * self.taylor_step_overhead_applications)
-                    * self.taylor_application_cost,
-            ),
-            StepperKind::BatchedTaylor => Some(
-                (applications
-                    + taylor_steps(bound, duration) * self.batched_step_overhead_applications)
-                    * self.batched_taylor_application_cost,
-            ),
-            StepperKind::Krylov => Some(applications * self.krylov_application_cost),
-            StepperKind::Chebyshev => Some(
-                (applications + self.chebyshev_base_applications) * self.chebyshev_application_cost,
-            ),
-            StepperKind::Auto => None,
-        }
-    }
-
-    /// The cheapest fixed backend for one segment (ties go to the earlier
-    /// backend in reference-first order, so a dead heat picks Taylor).
-    ///
-    /// Always equivalent to the argmin of
-    /// [`estimated_cost`](AutoCostModel::estimated_cost) over
-    /// [`StepperKind::fixed`], but with a fast path for short segments: the
-    /// exact Chebyshev pricing runs an `O(span)` Bessel recurrence (with a
-    /// heap allocation), which on schedules of thousands of tiny segments
-    /// would rival the evolution it prices. For `span ≤ 2` a rigorous lower
-    /// bound on the expansion order (`J_k(z) ≥ ½·(z/2)ᵏ/k!` there, so the
-    /// first `k` with `(z/2)ᵏ/k! < tolerance` cannot be past the truncation
-    /// point) prices Chebyshev out without touching the recurrence whenever
-    /// even that floor loses to Taylor or Krylov.
-    pub fn choose(&self, bound: &SpectralBound, duration: f64, tolerance: f64) -> StepperKind {
-        // Argmin over the non-Chebyshev backends, earlier-in-fixed-order
-        // winning ties (so a dead heat stays with the Taylor reference).
-        let (mut other, mut other_cost) = (
-            StepperKind::Taylor,
-            self.estimated_cost(StepperKind::Taylor, bound, duration, tolerance)
-                .unwrap_or(f64::INFINITY),
-        );
-        for kind in [StepperKind::BatchedTaylor, StepperKind::Krylov] {
-            let cost = self
-                .estimated_cost(kind, bound, duration, tolerance)
-                .unwrap_or(f64::INFINITY);
-            if cost < other_cost {
-                other = kind;
-                other_cost = cost;
-            }
-        }
-        let span = bound.radius * duration;
-        if span > 0.0 && span <= 2.0 {
-            let floor_cost = (series_orders(span / 2.0, tolerance) as f64
-                + self.chebyshev_base_applications)
-                * self.chebyshev_application_cost;
-            if floor_cost >= other_cost {
-                return other;
-            }
-        }
-        let chebyshev_cost = self
-            .estimated_cost(StepperKind::Chebyshev, bound, duration, tolerance)
-            .unwrap_or(f64::INFINITY);
-        if chebyshev_cost < other_cost {
-            StepperKind::Chebyshev
-        } else {
-            other
-        }
-    }
-
-    /// The cheapest backend among `candidates` for one segment — the
-    /// restricted variant of [`choose`](AutoCostModel::choose) the schedule
-    /// loop uses once [`RecoveryLog`](crate::error::RecoveryLog) demotions
-    /// have removed a failing backend from the pool. Ties go to the earlier
-    /// candidate; an empty or all-`Auto` candidate list falls back to the
-    /// Taylor reference.
-    pub fn choose_among(
-        &self,
-        candidates: &[StepperKind],
-        bound: &SpectralBound,
-        duration: f64,
-        tolerance: f64,
-    ) -> StepperKind {
-        let mut best = StepperKind::Taylor;
-        let mut best_cost = f64::INFINITY;
-        for &kind in candidates {
-            let Some(cost) = self.estimated_cost(kind, bound, duration, tolerance) else {
-                continue;
-            };
-            if cost < best_cost {
-                best = kind;
-                best_cost = cost;
-            }
-        }
-        best
-    }
-}
-
 /// Taylor step count of one segment — `⌈strength·t / ½⌉`, at least one.
-/// The **single** definition of the step splitting, shared by both
-/// Taylor-series backends (whose equal-application CI gate depends on them
-/// splitting identically) and the cost model (as an `f64` because the model
-/// multiplies it by fractional overhead equivalents; the value is an exact
-/// small integer, so `as usize` in the steppers is lossless).
+/// The **single** definition of the step splitting, shared by both Taylor
+/// steppers and the cost model (as an `f64` because the model multiplies it
+/// by a fractional overhead; the value is an exact small integer, so
+/// `as usize` in the steppers is lossless).
 fn taylor_steps(bound: &SpectralBound, duration: f64) -> f64 {
     (bound.step_strength * duration / MAX_STEP_PHASE)
         .ceil()
@@ -676,7 +487,7 @@ impl SpectralBound {
 /// segment.
 ///
 /// Implementations own whatever scratch state their scheme needs (Taylor's
-/// two vectors, Krylov's basis, Chebyshev's recurrence buffers) and reuse it
+/// two vectors, Chebyshev's recurrence buffers) and reuse it
 /// across calls, so driving a many-segment schedule allocates nothing after
 /// the first segment at a given register size.
 pub trait Stepper {
@@ -691,10 +502,10 @@ pub trait Stepper {
     ///
     /// Returns an [`EvolveError`] when a numerical guardrail trips
     /// (non-finite amplitudes, norm drift beyond
-    /// [`NORM_DRIFT_LIMIT`], inner-solver non-convergence, Chebyshev order
-    /// overflow). On error the Krylov and Chebyshev backends leave `state`
-    /// exactly as it was at segment entry (rollback-safe); the Taylor
-    /// backends may leave it mid-segment (documented per type).
+    /// [`NORM_DRIFT_LIMIT`], Chebyshev order overflow). On error the
+    /// Chebyshev backend leaves `state` exactly as it was at segment entry
+    /// (rollback-safe); the Taylor backend may leave it mid-segment
+    /// (documented per type).
     fn try_evolve_segment(
         &mut self,
         kernel: FusedKernel<'_>,
@@ -734,14 +545,12 @@ pub trait Stepper {
     /// construction or the last reset: every full traversal of a `2ⁿ`-sized
     /// amplitude array (each read stream and each write stream counted as
     /// one). This is the memory-traffic currency the batched multi-segment
-    /// sweep exists to reduce — a fused kernel application costs ~4 passes
-    /// (gather-read, output write, accumulator read + write), while the
-    /// per-segment overhead (series copy, norm, rescale) is pure passes with
-    /// no arithmetic payload. Ticked through the typed [`Passes`] counter at
-    /// each operation site, so the tally is exact by construction for every
-    /// backend — including Krylov's reorthogonalization sweeps and
-    /// Chebyshev's recurrence, whose adaptive iteration counts older
-    /// revisions could only estimate.
+    /// Taylor sweep exists to reduce — a fused kernel application costs ~4
+    /// passes (gather-read, output write, accumulator read + write), while
+    /// drift corrections and copies are pure passes with no arithmetic
+    /// payload. Ticked through the typed [`Passes`] counter at each
+    /// operation site, so the tally is exact by construction for both
+    /// backends.
     fn state_passes(&self) -> u64;
 
     /// Resets the application and pass counters.
@@ -764,8 +573,7 @@ pub trait Stepper {
 /// Validates a stepper tolerance at the point of use: the [`EvolveOptions`]
 /// fields are public, so a hand-built value can sidestep
 /// [`EvolveOptions::with_tolerance`]'s check — and a non-positive tolerance
-/// would make the adaptive steppers' convergence loops spin forever instead
-/// of failing loudly.
+/// would silently disable truncation instead of failing loudly.
 fn validated_tolerance(tolerance: f64) -> f64 {
     assert!(
         tolerance.is_finite() && tolerance > 0.0,
@@ -854,18 +662,60 @@ fn apply_identity_phase(state: &mut StateVector, center: f64, duration: f64) -> 
 }
 
 // ---------------------------------------------------------------------------
-// Taylor
+// Taylor (batched multi-segment sweep)
 // ---------------------------------------------------------------------------
 
-/// The reference backend: scaled Taylor series with `‖H‖·Δt ≤ ½` splitting.
+/// The Taylor backend: scaled Taylor series with `‖H‖·Δt ≤ ½` splitting,
+/// truncated per order once the next term drops below `tolerance` relative
+/// to the run's reference norm, evaluated as a batched multi-segment sweep.
 ///
-/// This is the original propagation loop of `propagate.rs`, refactored
-/// behind the [`Stepper`] trait — step counts, truncation semantics, and
-/// numerics are unchanged.
+/// # How the overhead passes disappear
+///
+/// A textbook `k`-order Taylor step spends ~`4k + 5` state-sized
+/// traversals, of which 5 carry no gather work at all: a copy that seeds the
+/// series with the current state (2), and the norm + rescale passes of a
+/// per-step drift correction (3). This sweep eliminates every one of them
+/// without adding gather cost anywhere:
+///
+/// * **No series copy.** The first kernel application of a step reads the
+///   state directly ([`FusedKernel::apply_into`]) — 2 traversals instead of
+///   the copy (2) plus a 4-traversal apply-accumulate.
+/// * **Fused first-and-second-order update.** Because the first application
+///   could not accumulate into the state it was reading, its first-order
+///   term is retired one pass later, fused with the second-order term in a
+///   single traversal ([`FusedKernel::apply_accumulate_both_into`] —
+///   `ψ += f₁·Hψ + f₂·H²ψ`; the `Hψ` element is already loaded for the
+///   gathers, so the extra accumulation is free). Higher orders use the
+///   fused apply-accumulate ([`FusedKernel::apply_accumulate_into`]).
+/// * **Run-end drift correction.** The per-step norm-and-rescale is
+///   deferred to a single correction at the end of the run. The exact
+///   evolution is unitary, so the per-step corrections it replaces were
+///   `1 + O(ε)` scalars; deferring them moves results by `≲ steps · ε` —
+///   orders of magnitude inside the 1e-10 conformance window.
+///
+/// A *run* may span *many segments*: on a compiled schedule
+/// ([`crate::CompiledSchedule`]), consecutive same-layout segments (the
+/// [`batch_runs`](crate::CompiledSchedule::batch_runs) grouping) chain
+/// through [`begin_run`](TaylorStepper::begin_run) /
+/// [`run_segment`](TaylorStepper::run_segment) /
+/// [`finish_run`](TaylorStepper::finish_run) in one sweep: the mask
+/// arrays are read once from the shared layout while the weights walk
+/// adjacent rows of the columnar weight matrix, and the whole run pays one
+/// drift correction instead of one per step. On a dense ramp of tiny
+/// segments (Taylor order ~6–9 each) this removes ~15–25% of all amplitude
+/// passes against the textbook scheme.
+///
+/// [`Stepper::evolve_segment`] evolves a single segment as a run of one —
+/// even the constant-Hamiltonian path saves the copy and per-step rescale
+/// passes.
 #[derive(Debug, Clone)]
 pub struct TaylorStepper {
     series: StateVector,
     series_next: StateVector,
+    reference_norm: f64,
+    /// Whether the open run has applied any kernel work (drift corrections
+    /// are only owed — and only meaningful — after real applications).
+    dirty: bool,
     context: ExecutionContext,
     tolerance: f64,
     applications: u64,
@@ -883,189 +733,6 @@ impl TaylorStepper {
         TaylorStepper::with_context(tolerance, ExecutionContext::auto())
     }
 
-    /// Creates the stepper with an explicit [`ExecutionContext`] (worker
-    /// count, parallel threshold, kernel path) applied to every kernel
-    /// application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is not positive and finite.
-    pub fn with_context(tolerance: f64, context: ExecutionContext) -> Self {
-        TaylorStepper {
-            series: StateVector::zeros(0),
-            series_next: StateVector::zeros(0),
-            context,
-            tolerance: validated_tolerance(tolerance),
-            applications: 0,
-            passes: Passes::new(),
-        }
-    }
-
-    fn ensure_capacity(&mut self, num_qubits: usize) {
-        if self.series.num_qubits() != num_qubits || self.series.dim() != 1 << num_qubits {
-            self.series = StateVector::zeros(num_qubits);
-            self.series_next = StateVector::zeros(num_qubits);
-        }
-    }
-
-    /// One in-place Taylor step
-    /// `|ψ⟩ ← Σ_k (−i·dt)ᵏ/k! · Hᵏ|ψ⟩`, truncated once the next term drops
-    /// below `tolerance · reference_norm` (relative truncation).
-    fn taylor_step(
-        &mut self,
-        kernel: FusedKernel<'_>,
-        state: &mut StateVector,
-        dt: f64,
-        reference_norm: f64,
-    ) -> Result<(), EvolveError> {
-        self.series.copy_from(state);
-        self.passes.copy();
-        let mut factor = Complex::ONE;
-        let threshold = self.tolerance * reference_norm;
-        for k in 1..=MAX_TAYLOR_ORDER {
-            factor = factor * Complex::new(0.0, -dt) / (k as f64);
-            // One fused sweep: series_next = H·series, state += factor·
-            // series_next, and ‖series_next‖ for the convergence check.
-            let series_norm = kernel.apply_accumulate_into_with(
-                &self.context,
-                &self.series,
-                &mut self.series_next,
-                state,
-                factor,
-            );
-            self.applications += 1;
-            self.passes.apply_accumulate();
-            std::mem::swap(&mut self.series, &mut self.series_next);
-            guard_finite(series_norm, StepperKind::Taylor)?;
-            if series_norm * factor.abs() < threshold {
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Stepper for TaylorStepper {
-    /// On error the state may be left mid-segment: Taylor is the fallback
-    /// backend of last resort, so its failures are not rolled back here (the
-    /// schedule loop snapshots before fault-suspect segments instead).
-    fn try_evolve_segment(
-        &mut self,
-        kernel: FusedKernel<'_>,
-        bound: &SpectralBound,
-        state: &mut StateVector,
-        duration: f64,
-        reference_norm: f64,
-    ) -> Result<(), EvolveError> {
-        if bound.radius == 0.0 {
-            // H = center·I exactly: a global phase, zero kernel work (the
-            // generic loop would split this into step_strength·t/½ steps of
-            // pure-phase series — the zero-scale / pure-identity degeneracy).
-            self.passes
-                .add(apply_identity_phase(state, bound.center, duration));
-            return Ok(());
-        }
-        self.ensure_capacity(state.num_qubits());
-        // Split into steps so that the Taylor series of each step converges
-        // fast.
-        let steps = taylor_steps(bound, duration) as usize;
-        let dt = duration / steps as f64;
-        for _ in 0..steps {
-            self.taylor_step(kernel, state, dt, reference_norm)?;
-            checked_rescale_to(state, reference_norm, StepperKind::Taylor)?;
-            self.passes.rescale();
-        }
-        Ok(())
-    }
-
-    fn kernel_applications(&self) -> u64 {
-        self.applications
-    }
-
-    fn state_passes(&self) -> u64 {
-        self.passes.count()
-    }
-
-    fn reset_kernel_applications(&mut self) {
-        self.applications = 0;
-        self.passes.reset();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched multi-segment Taylor
-// ---------------------------------------------------------------------------
-
-/// The batched multi-segment Taylor sweep: the same series as
-/// [`TaylorStepper`] — identical `‖H‖·Δt ≤ ½` step splitting, identical
-/// per-order truncation rule, identical term values — evaluated with the
-/// per-step overhead passes fused away.
-///
-/// # How the passes disappear
-///
-/// A `k`-order per-segment Taylor step spends ~`4k + 5` state-sized
-/// traversals, of which 5 carry no gather work at all: the `copy_from` that
-/// seeds the series with the current state (2), and the norm + rescale
-/// passes of the per-step drift correction (3). The batched sweep
-/// eliminates every one of them without adding gather cost anywhere:
-///
-/// * **No series copy.** The first kernel application of a step reads the
-///   state directly ([`FusedKernel::apply_into`]) — 2 traversals instead of
-///   the copy (2) plus a 4-traversal apply-accumulate.
-/// * **Fused first-and-second-order update.** Because the first application
-///   could not accumulate into the state it was reading, its first-order
-///   term is retired one pass later, fused with the second-order term in a
-///   single traversal ([`FusedKernel::apply_accumulate_both_into`] —
-///   `ψ += f₁·Hψ + f₂·H²ψ`; the `Hψ` element is already loaded for the
-///   gathers, so the extra accumulation is free). Higher orders proceed
-///   exactly as the per-segment path does.
-/// * **Run-end drift correction.** The per-step norm-and-rescale is
-///   deferred to a single correction at the end of the run. The exact
-///   evolution is unitary, so the per-step corrections it replaces were
-///   `1 + O(ε)` scalars; deferring them moves results by `≲ steps · ε` —
-///   orders of magnitude inside the 1e-10 conformance window.
-///
-/// A *run* may span *many segments*: on a compiled schedule
-/// ([`crate::CompiledSchedule`]), consecutive same-layout segments (the
-/// [`batch_runs`](crate::CompiledSchedule::batch_runs) grouping) chain
-/// through [`begin_run`](BatchedTaylorStepper::begin_run) /
-/// [`run_segment`](BatchedTaylorStepper::run_segment) /
-/// [`finish_run`](BatchedTaylorStepper::finish_run) in one sweep: the mask
-/// arrays are read once from the shared layout while the weights walk
-/// adjacent rows of the columnar weight matrix, and the whole run pays one
-/// drift correction instead of one per step. On a dense ramp of tiny
-/// segments (Taylor order ~6–9 each) this removes ~15–25% of all amplitude
-/// passes — see the `dense_ramp` entries of `BENCH_schedule.json`, which
-/// gate the batched path against per-segment Taylor in CI.
-///
-/// [`Stepper::evolve_segment`] evolves a single segment as a run of one —
-/// even the constant-Hamiltonian path saves the copy and per-step rescale
-/// passes.
-#[derive(Debug, Clone)]
-pub struct BatchedTaylorStepper {
-    series: StateVector,
-    series_next: StateVector,
-    reference_norm: f64,
-    /// Whether the open run has applied any kernel work (drift corrections
-    /// are only owed — and only meaningful — after real applications).
-    dirty: bool,
-    context: ExecutionContext,
-    tolerance: f64,
-    applications: u64,
-    passes: Passes,
-}
-
-impl BatchedTaylorStepper {
-    /// Creates the stepper with minimal scratch buffers (resized on first
-    /// use), executing kernels under [`ExecutionContext::auto`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is not positive and finite.
-    pub fn new(tolerance: f64) -> Self {
-        BatchedTaylorStepper::with_context(tolerance, ExecutionContext::auto())
-    }
-
     /// Creates the stepper with an explicit [`ExecutionContext`] applied to
     /// every kernel application.
     ///
@@ -1073,7 +740,7 @@ impl BatchedTaylorStepper {
     ///
     /// Panics if `tolerance` is not positive and finite.
     pub fn with_context(tolerance: f64, context: ExecutionContext) -> Self {
-        BatchedTaylorStepper {
+        TaylorStepper {
             series: StateVector::zeros(0),
             series_next: StateVector::zeros(0),
             reference_norm: 1.0,
@@ -1097,9 +764,9 @@ impl BatchedTaylorStepper {
     /// run-end drift correction are relative to.
     ///
     /// The caller drives any number of
-    /// [`run_segment`](BatchedTaylorStepper::run_segment) calls against the
+    /// [`run_segment`](TaylorStepper::run_segment) calls against the
     /// **same** state and closes the run with
-    /// [`finish_run`](BatchedTaylorStepper::finish_run), which applies the
+    /// [`finish_run`](TaylorStepper::finish_run), which applies the
     /// single deferred drift correction.
     pub fn begin_run(&mut self, state: &StateVector, reference_norm: f64) {
         self.ensure_capacity(state.num_qubits());
@@ -1110,9 +777,9 @@ impl BatchedTaylorStepper {
     /// Evolves one segment inside an open run: `|ψ⟩ ← exp(−i·H·duration)|ψ⟩`
     /// where `H` is the operator `kernel` applies.
     ///
-    /// Step splitting, series orders, and the truncation rule are identical
-    /// to [`TaylorStepper`]; only the pass structure differs (see the type
-    /// docs).
+    /// The segment is split into `⌈step_strength·duration / ½⌉` equal steps,
+    /// each summing the series until the next term is negligible (see the
+    /// type docs for the pass structure).
     pub fn run_segment(
         &mut self,
         kernel: FusedKernel<'_>,
@@ -1125,7 +792,7 @@ impl BatchedTaylorStepper {
         }
     }
 
-    /// Fallible variant of [`run_segment`](BatchedTaylorStepper::run_segment).
+    /// Fallible variant of [`run_segment`](TaylorStepper::run_segment).
     ///
     /// # Errors
     ///
@@ -1154,14 +821,13 @@ impl BatchedTaylorStepper {
         let dt = duration / steps as f64;
         let threshold = self.tolerance * self.reference_norm;
         for _ in 0..steps {
-            // --- Order 1: series = H·ψ, read straight off the state (the
-            // per-segment path would copy the state first). Its
-            // accumulation is retired one pass later. ---
+            // --- Order 1: series = H·ψ, read straight off the state (no
+            // series copy). Its accumulation is retired one pass later. ---
             let f1 = Complex::new(0.0, -dt);
             let order1_norm = kernel.apply_into_with(&self.context, state, &mut self.series);
             self.applications += 1;
             self.passes.apply();
-            guard_finite(order1_norm, StepperKind::BatchedTaylor)?;
+            guard_finite(order1_norm, StepperKind::Taylor)?;
             if order1_norm * f1.abs() < threshold {
                 // Single-order step: retire the lone term directly.
                 state.accumulate(f1, &self.series);
@@ -1182,12 +848,11 @@ impl BatchedTaylorStepper {
             self.applications += 1;
             self.passes.apply_accumulate();
             std::mem::swap(&mut self.series, &mut self.series_next);
-            guard_finite(norm, StepperKind::BatchedTaylor)?;
+            guard_finite(norm, StepperKind::Taylor)?;
             if norm * factor.abs() < threshold {
                 continue;
             }
-            // --- Orders 3..k: the per-segment path's fused
-            // apply-accumulate, unchanged. ---
+            // --- Orders 3..k: fused apply-accumulate. ---
             for k in 3..=MAX_TAYLOR_ORDER {
                 factor = factor * Complex::new(0.0, -dt) / (k as f64);
                 let norm = kernel.apply_accumulate_into_with(
@@ -1200,7 +865,7 @@ impl BatchedTaylorStepper {
                 self.applications += 1;
                 self.passes.apply_accumulate();
                 std::mem::swap(&mut self.series, &mut self.series_next);
-                guard_finite(norm, StepperKind::BatchedTaylor)?;
+                guard_finite(norm, StepperKind::Taylor)?;
                 if norm * factor.abs() < threshold {
                     break;
                 }
@@ -1210,15 +875,14 @@ impl BatchedTaylorStepper {
     }
 
     /// Closes a batched run: applies the single deferred drift correction
-    /// back to the reference norm (the per-segment path rescales after
-    /// every step; the batch pays once per run).
+    /// back to the reference norm (once per run, not once per step).
     pub fn finish_run(&mut self, state: &mut StateVector) {
         if let Err(error) = self.try_finish_run(state) {
             panic!("{error}");
         }
     }
 
-    /// Fallible variant of [`finish_run`](BatchedTaylorStepper::finish_run):
+    /// Fallible variant of [`finish_run`](TaylorStepper::finish_run):
     /// the run-end drift correction doubles as the run's guardrail check.
     ///
     /// # Errors
@@ -1228,7 +892,7 @@ impl BatchedTaylorStepper {
     pub fn try_finish_run(&mut self, state: &mut StateVector) -> Result<(), EvolveError> {
         if self.dirty {
             self.dirty = false;
-            checked_rescale_to(state, self.reference_norm, StepperKind::BatchedTaylor)?;
+            checked_rescale_to(state, self.reference_norm, StepperKind::Taylor)?;
             self.passes.rescale();
         }
         // A clean run did no kernel work (only exact phases), so the norm
@@ -1237,9 +901,9 @@ impl BatchedTaylorStepper {
     }
 }
 
-impl Stepper for BatchedTaylorStepper {
+impl Stepper for TaylorStepper {
     /// On error the state may be left mid-segment (see
-    /// [`try_run_segment`](BatchedTaylorStepper::try_run_segment)).
+    /// [`try_run_segment`](TaylorStepper::try_run_segment)).
     fn try_evolve_segment(
         &mut self,
         kernel: FusedKernel<'_>,
@@ -1275,7 +939,7 @@ impl Stepper for BatchedTaylorStepper {
 /// every noise realization of a device sweep advances together through one
 /// [`BlockKernel`] application per series order.
 ///
-/// Numerics mirror [`BatchedTaylorStepper`] exactly — same step splitting
+/// Numerics mirror [`TaylorStepper`] exactly — same step splitting
 /// (sized by the *largest* per-realization amplitude scale, so every
 /// realization's per-step phase stays under `MAX_STEP_PHASE`), same series
 /// orders and fused first-and-second-order traversal, same deferred run-end
@@ -1431,7 +1095,7 @@ impl BlockTaylorStepper {
             let order1_norm = kernel.apply_into_with(&self.context, block, &mut self.series);
             self.applications += realizations;
             self.passes.add(2 * realizations);
-            guard_finite(order1_norm, StepperKind::BatchedTaylor)?;
+            guard_finite(order1_norm, StepperKind::Taylor)?;
             if order1_norm * f1.abs() < threshold {
                 // Single-order step: retire the lone term directly.
                 block.accumulate(f1, &self.series);
@@ -1452,7 +1116,7 @@ impl BlockTaylorStepper {
             self.applications += realizations;
             self.passes.add(4 * realizations);
             std::mem::swap(&mut self.series, &mut self.series_next);
-            guard_finite(norm, StepperKind::BatchedTaylor)?;
+            guard_finite(norm, StepperKind::Taylor)?;
             if norm * factor.abs() < threshold {
                 continue;
             }
@@ -1469,7 +1133,7 @@ impl BlockTaylorStepper {
                 self.applications += realizations;
                 self.passes.add(4 * realizations);
                 std::mem::swap(&mut self.series, &mut self.series_next);
-                guard_finite(norm, StepperKind::BatchedTaylor)?;
+                guard_finite(norm, StepperKind::Taylor)?;
                 if norm * factor.abs() < threshold {
                     break;
                 }
@@ -1498,7 +1162,7 @@ impl BlockTaylorStepper {
             let norm = block.realization_norm(r);
             if !norm.is_finite() {
                 return Err(EvolveError::NonFiniteState {
-                    backend: StepperKind::BatchedTaylor,
+                    backend: StepperKind::Taylor,
                     segment: None,
                 });
             }
@@ -1506,7 +1170,7 @@ impl BlockTaylorStepper {
                 let relative_drift = (norm - reference).abs() / reference;
                 if relative_drift > NORM_DRIFT_LIMIT {
                     return Err(EvolveError::NormDrift {
-                        backend: StepperKind::BatchedTaylor,
+                        backend: StepperKind::Taylor,
                         segment: None,
                         relative_drift,
                     });
@@ -1535,343 +1199,6 @@ impl BlockTaylorStepper {
     pub fn reset_kernel_applications(&mut self) {
         self.applications = 0;
         self.passes.reset();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lanczos–Krylov
-// ---------------------------------------------------------------------------
-
-/// The adaptive Lanczos–Krylov backend.
-///
-/// Per step: build an orthonormal Krylov basis `{ψ, Hψ, H²ψ, …}` with the
-/// three-term Lanczos recurrence plus full reorthogonalization (required to
-/// hold 1e-14-level accuracy past a handful of vectors), project `H` onto it
-/// as a real symmetric tridiagonal matrix, exponentiate the projection
-/// exactly through its eigendecomposition, and advance by the largest `Δt ≤
-/// remaining` whose residual estimate `β_m·Δt·|φ_m(Δt)|` stays below
-/// tolerance. Basis construction stops early as soon as the remaining
-/// duration converges (adaptive dimension); if even the full basis cannot
-/// cover the remainder, the step shrinks along the scheme's `Δt^m` error
-/// power law (adaptive step).
-#[derive(Debug, Clone)]
-pub struct KrylovStepper {
-    /// Lanczos vectors `v_0 … v_m` (the `m+1`-th is the unnormalized
-    /// residual workspace while building).
-    basis: Vec<StateVector>,
-    /// Segment-entry snapshot: restored on any guardrail failure so the
-    /// caller always gets the state back at the segment boundary
-    /// (rollback-safe error contract).
-    snapshot: StateVector,
-    /// Armed by [`force_ql_nonconvergence`](KrylovStepper::force_ql_nonconvergence)
-    /// (fault injection): the next projected eigensolve reports
-    /// non-convergence instead of running.
-    force_ql_failure: bool,
-    context: ExecutionContext,
-    tolerance: f64,
-    applications: u64,
-    passes: Passes,
-}
-
-impl KrylovStepper {
-    /// Creates the stepper; basis vectors are allocated lazily per register
-    /// size and reused across steps and segments. Kernels execute under
-    /// [`ExecutionContext::auto`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is not positive and finite.
-    pub fn new(tolerance: f64) -> Self {
-        KrylovStepper::with_context(tolerance, ExecutionContext::auto())
-    }
-
-    /// Creates the stepper with an explicit [`ExecutionContext`] applied to
-    /// every kernel application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tolerance` is not positive and finite.
-    pub fn with_context(tolerance: f64, context: ExecutionContext) -> Self {
-        KrylovStepper {
-            basis: Vec::new(),
-            snapshot: StateVector::zeros(0),
-            force_ql_failure: false,
-            context,
-            tolerance: validated_tolerance(tolerance),
-            applications: 0,
-            passes: Passes::new(),
-        }
-    }
-
-    /// Forces the next projected eigensolve to report
-    /// [`MathError::NoConvergence`] (consumed by that one solve). Exists for
-    /// the fault-injection harness: real QL non-convergence is not reachable
-    /// from finite Lanczos coefficients, so exercising the recovery path
-    /// requires forcing it.
-    pub fn force_ql_nonconvergence(&mut self) {
-        self.force_ql_failure = true;
-    }
-
-    /// Disarms a pending forced QL failure (used by the schedule loop after
-    /// a fault-injected segment so the failure cannot leak into later,
-    /// un-faulted segments).
-    pub fn clear_forced_ql_failure(&mut self) {
-        self.force_ql_failure = false;
-    }
-
-    /// Projected eigendecomposition of the Lanczos tridiagonal, surfacing
-    /// solver failures as [`EvolveError::NonConvergence`] instead of
-    /// panicking, and honoring a pending forced failure.
-    fn projected_eigen(
-        &mut self,
-        alphas: &[f64],
-        off_diagonal: &[f64],
-    ) -> Result<TridiagonalEigen, EvolveError> {
-        let wrap = |source: MathError| EvolveError::NonConvergence {
-            backend: StepperKind::Krylov,
-            segment: None,
-            source,
-        };
-        if self.force_ql_failure {
-            self.force_ql_failure = false;
-            return Err(wrap(MathError::NoConvergence {
-                routine: "tridiagonal_ql (forced by fault injection)",
-                iterations: 0,
-            }));
-        }
-        SymmetricTridiagonal::new(alphas.to_vec(), off_diagonal.to_vec())
-            .and_then(|tridiagonal| tridiagonal.eigen_decomposition())
-            .map_err(wrap)
-    }
-
-    fn ensure_basis(&mut self, count: usize, num_qubits: usize) {
-        if self
-            .basis
-            .first()
-            .is_some_and(|v| v.num_qubits() != num_qubits || v.dim() != 1 << num_qubits)
-        {
-            self.basis.clear();
-        }
-        while self.basis.len() < count {
-            self.basis.push(StateVector::zeros(num_qubits));
-        }
-    }
-
-    /// `φ(dt) = exp(−i·dt·T_m)·e₁` through the projected eigendecomposition,
-    /// returned as complex coefficients over the Lanczos basis.
-    fn projected_exponential(eigen: &TridiagonalEigen, dt: f64) -> Vec<Complex> {
-        let m = eigen.eigenvalues.len();
-        let v = &eigen.eigenvectors;
-        let mut phi = vec![Complex::ZERO; m];
-        for (k, &lambda) in eigen.eigenvalues.iter().enumerate() {
-            // coefficient of eigenpair k in exp(−i·dt·T)·e₁: phase · V[0][k]
-            let coefficient = Complex::from_polar_angle(-dt * lambda).scale(v.row(0)[k]);
-            for (j, slot) in phi.iter_mut().enumerate() {
-                *slot += coefficient.scale(v.row(j)[k]);
-            }
-        }
-        phi
-    }
-
-    /// Residual-based local error estimate of one Krylov step: the next
-    /// basis vector's weight `β_m`, integrated over the step.
-    fn error_estimate(beta_last: f64, dt: f64, phi: &[Complex]) -> f64 {
-        beta_last * dt * phi.last().map_or(0.0, |p| p.abs())
-    }
-}
-
-impl Stepper for KrylovStepper {
-    /// Rollback-safe: on any error `state` is restored to the segment
-    /// boundary from the entry snapshot, so the caller can retry the segment
-    /// with another backend.
-    fn try_evolve_segment(
-        &mut self,
-        kernel: FusedKernel<'_>,
-        bound: &SpectralBound,
-        state: &mut StateVector,
-        duration: f64,
-        reference_norm: f64,
-    ) -> Result<(), EvolveError> {
-        if bound.radius == 0.0 {
-            // H = center·I exactly: a global phase. The generic path would
-            // build a one-vector basis and β-normalize a zero residual —
-            // correct via happy breakdown, but pure wasted passes.
-            self.passes
-                .add(apply_identity_phase(state, bound.center, duration));
-            return Ok(());
-        }
-        // Segment-entry snapshot: two passes per segment buy the rollback
-        // contract (Krylov overwrites its own basis[0] every step, so no
-        // existing buffer holds the entry state).
-        if self.snapshot.num_qubits() != state.num_qubits() || self.snapshot.dim() != state.dim() {
-            self.snapshot = StateVector::zeros(state.num_qubits());
-        }
-        self.snapshot.copy_from(state);
-        self.passes.copy();
-        let result = self.evolve_segment_body(kernel, state, duration, reference_norm);
-        if result.is_err() {
-            state.copy_from(&self.snapshot);
-            self.passes.copy();
-        }
-        result
-    }
-
-    fn kernel_applications(&self) -> u64 {
-        self.applications
-    }
-
-    fn state_passes(&self) -> u64 {
-        self.passes.count()
-    }
-
-    fn reset_kernel_applications(&mut self) {
-        self.applications = 0;
-        self.passes.reset();
-    }
-}
-
-impl KrylovStepper {
-    fn evolve_segment_body(
-        &mut self,
-        kernel: FusedKernel<'_>,
-        state: &mut StateVector,
-        duration: f64,
-        reference_norm: f64,
-    ) -> Result<(), EvolveError> {
-        let num_qubits = state.num_qubits();
-        let mut remaining = duration;
-        while remaining > 0.0 {
-            // --- Build the Lanczos basis from the current state. ---
-            self.ensure_basis(2, num_qubits);
-            self.basis[0].copy_from(state);
-            self.passes.copy();
-            self.basis[0].scale(1.0 / reference_norm);
-            self.passes.scale();
-            let mut alphas: Vec<f64> = Vec::with_capacity(KRYLOV_MAX_DIM);
-            let mut betas: Vec<f64> = Vec::with_capacity(KRYLOV_MAX_DIM);
-            let mut eigen: Option<TridiagonalEigen> = None;
-            let mut happy_breakdown = false;
-            // Residual tests cost an O(dim³) eigensolve each; run them on a
-            // geometric ladder of dimensions (3, 5, 8, 12, 18, 27, 32)
-            // instead of every iteration so the per-step setup cost stays a
-            // fraction of the basis-construction kernel work.
-            let mut next_test = KRYLOV_MIN_DIM;
-
-            loop {
-                let m = alphas.len();
-                self.ensure_basis(m + 2, num_qubits);
-                // w = H·v_m, then orthogonalize against v_m and v_{m−1}.
-                let (head, tail) = self.basis.split_at_mut(m + 1);
-                let v_m = &head[m];
-                let w = &mut tail[0];
-                kernel.apply_into_with(&self.context, v_m, w);
-                self.applications += 1;
-                self.passes.apply();
-                let alpha = v_m.inner_product(w).re;
-                self.passes.inner();
-                w.accumulate(Complex::from_real(-alpha), v_m);
-                self.passes.axpy();
-                if m > 0 {
-                    let beta_prev = betas[m - 1];
-                    w.accumulate(Complex::from_real(-beta_prev), &head[m - 1]);
-                    self.passes.axpy();
-                }
-                // Full reorthogonalization: one classical Gram–Schmidt pass
-                // against the whole basis. Without it, orthogonality decays
-                // as eigenpairs converge and the projected exponential loses
-                // digits well before 1e-14.
-                for v in head.iter() {
-                    let overlap = v.inner_product(w);
-                    self.passes.inner();
-                    if overlap.abs() > 0.0 {
-                        w.accumulate(-overlap, v);
-                        self.passes.axpy();
-                    }
-                }
-                alphas.push(alpha);
-                let beta = w.norm();
-                self.passes.norm();
-                betas.push(beta);
-                // Lanczos sanity: α and β are inner products / norms of the
-                // basis vectors — any NaN or infinity in the state surfaces
-                // here immediately, with no extra amplitude pass.
-                if !alpha.is_finite() || !beta.is_finite() {
-                    return Err(EvolveError::NonFiniteState {
-                        backend: StepperKind::Krylov,
-                        segment: None,
-                    });
-                }
-
-                // Happy breakdown: the Krylov space is H-invariant, so the
-                // projected exponential is exact for any Δt. Any
-                // eigendecomposition computed at a smaller dimension is
-                // stale now — drop it so the final one matches `alphas`.
-                let alpha_scale = alphas.iter().fold(0.0f64, |acc, a| acc.max(a.abs()));
-                if beta <= 1e-14 * alpha_scale.max(1.0) {
-                    happy_breakdown = true;
-                    eigen.take();
-                    break;
-                }
-
-                let dim = alphas.len();
-                // Adaptive basis dimension: stop growing as soon as the
-                // residual estimate for the whole remaining duration
-                // converges (tested on the geometric ladder, and always at
-                // the hard cap).
-                if dim >= next_test || dim >= KRYLOV_MAX_DIM {
-                    next_test = (dim + dim / 2).min(KRYLOV_MAX_DIM).max(dim + 1);
-                    let decomposition = self.projected_eigen(&alphas, &betas[..dim - 1])?;
-                    let phi = Self::projected_exponential(&decomposition, remaining);
-                    let error = Self::error_estimate(beta, remaining, &phi);
-                    eigen = Some(decomposition);
-                    if error <= self.tolerance || dim >= KRYLOV_MAX_DIM {
-                        break;
-                    }
-                }
-                // Extend the basis: v_{m+1} = w / β.
-                let w = &mut self.basis[m + 1];
-                w.scale(1.0 / beta);
-                self.passes.scale();
-            }
-
-            let dim = alphas.len();
-            let eigen = match eigen {
-                Some(decomposition) => decomposition,
-                None => self.projected_eigen(&alphas, &betas[..dim - 1])?,
-            };
-            // The loop body always pushes at least one β before breaking.
-            let beta_last = betas.last().copied().unwrap_or(0.0);
-
-            // --- Pick the largest Δt the residual estimate admits. ---
-            let mut dt = remaining;
-            let mut phi = Self::projected_exponential(&eigen, dt);
-            if !happy_breakdown {
-                for _ in 0..64 {
-                    let error = Self::error_estimate(beta_last, dt, &phi);
-                    if error <= self.tolerance {
-                        break;
-                    }
-                    // The local error scales as Δt^m: project onto the power
-                    // law with a safety factor, never shrinking by more than
-                    // 10x at once (guards against estimate noise).
-                    let contraction = (self.tolerance / error).powf(1.0 / dim as f64) * 0.9;
-                    dt *= contraction.clamp(0.1, 0.95);
-                    phi = Self::projected_exponential(&eigen, dt);
-                }
-            }
-
-            // --- Advance: ψ ← ‖ψ‖ · Σ_j φ_j · v_j. ---
-            state.amplitudes_mut().fill(Complex::ZERO);
-            self.passes.fill();
-            for (j, coefficient) in phi.iter().enumerate() {
-                state.accumulate(coefficient.scale(reference_norm), &self.basis[j]);
-                self.passes.axpy();
-            }
-            checked_rescale_to(state, reference_norm, StepperKind::Krylov)?;
-            self.passes.rescale();
-            remaining -= dt;
-        }
-        Ok(())
     }
 }
 
@@ -2171,11 +1498,8 @@ mod tests {
         for t in [0.3, 2.0, 9.0] {
             let expected = (omega * t).cos();
             let mut taylor = TaylorStepper::new(DEFAULT_TOLERANCE);
-            let mut batched = BatchedTaylorStepper::new(DEFAULT_TOLERANCE);
-            let mut krylov = KrylovStepper::new(DEFAULT_TOLERANCE);
             let mut chebyshev = ChebyshevStepper::new(DEFAULT_TOLERANCE);
-            let steppers: [&mut dyn Stepper; 4] =
-                [&mut taylor, &mut batched, &mut krylov, &mut chebyshev];
+            let steppers: [&mut dyn Stepper; 2] = [&mut taylor, &mut chebyshev];
             for stepper in steppers {
                 let evolved = evolve_with_stepper(stepper, &h, &StateVector::zero_state(1), t);
                 assert!(
@@ -2188,49 +1512,33 @@ mod tests {
     }
 
     #[test]
-    fn krylov_and_chebyshev_match_taylor_amplitudes() {
+    fn chebyshev_matches_taylor_amplitudes() {
         let h = test_hamiltonian();
         let initial = StateVector::plus_state(3);
         for t in [0.5, 4.0, 20.0] {
             let mut taylor = TaylorStepper::new(DEFAULT_TOLERANCE);
             let reference = evolve_with_stepper(&mut taylor, &h, &initial, t);
-            let mut batched = BatchedTaylorStepper::new(DEFAULT_TOLERANCE);
-            let mut krylov = KrylovStepper::new(DEFAULT_TOLERANCE);
             let mut chebyshev = ChebyshevStepper::new(DEFAULT_TOLERANCE);
-            let others: [(&str, &mut dyn Stepper); 3] = [
-                ("batched_taylor", &mut batched),
-                ("krylov", &mut krylov),
-                ("chebyshev", &mut chebyshev),
-            ];
-            for (name, stepper) in others {
-                let evolved = evolve_with_stepper(stepper, &h, &initial, t);
-                for (a, b) in evolved.amplitudes().iter().zip(reference.amplitudes()) {
-                    assert!((*a - *b).abs() < 1e-10, "{name} t={t}: {a} != {b}");
-                }
-                assert!(stepper.kernel_applications() > 0);
+            let evolved = evolve_with_stepper(&mut chebyshev, &h, &initial, t);
+            for (a, b) in evolved.amplitudes().iter().zip(reference.amplitudes()) {
+                assert!((*a - *b).abs() < 1e-10, "t={t}: {a} != {b}");
             }
+            assert!(chebyshev.kernel_applications() > 0);
         }
     }
 
     #[test]
-    fn long_time_work_scales_sublinearly_for_krylov_and_chebyshev() {
-        // The headline property: at ‖H‖·t ≫ 1 both new backends need far
-        // fewer H|ψ⟩ applications than Taylor's strength·t/0.5 steps.
+    fn long_time_work_scales_sublinearly_for_chebyshev() {
+        // The headline property: at ‖H‖·t ≫ 1 Chebyshev needs far fewer
+        // H|ψ⟩ applications than Taylor's strength·t/0.5 steps.
         let h = test_hamiltonian();
         let initial = StateVector::plus_state(3);
         let t = 50.0;
         let mut taylor = TaylorStepper::new(DEFAULT_TOLERANCE);
-        let mut krylov = KrylovStepper::new(DEFAULT_TOLERANCE);
         let mut chebyshev = ChebyshevStepper::new(DEFAULT_TOLERANCE);
         let _ = evolve_with_stepper(&mut taylor, &h, &initial, t);
-        let _ = evolve_with_stepper(&mut krylov, &h, &initial, t);
         let _ = evolve_with_stepper(&mut chebyshev, &h, &initial, t);
         let taylor_work = taylor.kernel_applications();
-        assert!(
-            krylov.kernel_applications() * 2 < taylor_work,
-            "krylov {} vs taylor {taylor_work}",
-            krylov.kernel_applications()
-        );
         assert!(
             chebyshev.kernel_applications() * 2 < taylor_work,
             "chebyshev {} vs taylor {taylor_work}",
@@ -2253,163 +1561,84 @@ mod tests {
     }
 
     #[test]
-    fn krylov_happy_breakdown_is_exact() {
-        // A 1-qubit X drive spans a 2-dim Krylov space: the basis breaks
-        // down happily at m = 2 and the step covers any duration exactly.
-        let h = Hamiltonian::from_terms(1, [(1.0, PauliString::single(0, Pauli::X))]);
-        let mut krylov = KrylovStepper::new(DEFAULT_TOLERANCE);
-        let evolved = evolve_with_stepper(&mut krylov, &h, &StateVector::zero_state(1), 100.0);
-        assert_eq!(krylov.kernel_applications(), 2);
-        let z = PauliString::single(0, Pauli::Z);
-        assert!((evolved.expectation(&z) - (2.0_f64 * 100.0).cos()).abs() < 1e-8);
-    }
-
-    #[test]
     fn options_builders() {
         assert_eq!(EvolveOptions::default().stepper, StepperKind::Auto);
-        assert_eq!(EvolveOptions::krylov().stepper, StepperKind::Krylov);
         assert_eq!(EvolveOptions::chebyshev().stepper, StepperKind::Chebyshev);
         assert_eq!(EvolveOptions::taylor().stepper, StepperKind::Taylor);
-        assert_eq!(
-            EvolveOptions::batched_taylor().stepper,
-            StepperKind::BatchedTaylor
-        );
         assert_eq!(EvolveOptions::auto().stepper, StepperKind::Auto);
-        let custom = EvolveOptions::krylov().with_tolerance(1e-9);
+        let custom = EvolveOptions::chebyshev().with_tolerance(1e-9);
         assert_eq!(custom.tolerance, 1e-9);
-        assert_eq!(StepperKind::Krylov.name(), "krylov");
-        assert_eq!(StepperKind::BatchedTaylor.name(), "batched_taylor");
+        assert_eq!(StepperKind::Taylor.name(), "taylor");
+        assert_eq!(StepperKind::Chebyshev.name(), "chebyshev");
         assert_eq!(StepperKind::Auto.name(), "auto");
-        assert_eq!(StepperKind::all().len(), 5);
-        assert_eq!(StepperKind::fixed().len(), 4);
+        assert_eq!(StepperKind::all().len(), 3);
+        assert_eq!(StepperKind::fixed().len(), 2);
         assert!(!StepperKind::fixed().contains(&StepperKind::Auto));
-        assert!(StepperKind::fixed().contains(&StepperKind::BatchedTaylor));
     }
 
     #[test]
-    fn auto_model_picks_batched_taylor_short_and_chebyshev_long() {
-        let model = AutoCostModel::default();
+    fn auto_picks_taylor_short_and_chebyshev_long() {
         let bound = SpectralBound {
             center: 0.0,
             radius: 2.0,
             step_strength: 2.5,
         };
         // A tiny segment: one Taylor step of a handful of orders beats
-        // Chebyshev's truncation floor — and the batched sweep undercuts the
-        // per-segment Taylor overhead.
+        // Chebyshev's truncation floor.
         assert_eq!(
-            model.choose(&bound, 0.01, DEFAULT_TOLERANCE),
-            StepperKind::BatchedTaylor
+            auto_choice(&bound, 0.01, DEFAULT_TOLERANCE),
+            StepperKind::Taylor
         );
         // A long quench: Chebyshev's ≈ r·t applications crush Taylor's
         // ‖H‖·t/½ steps.
         assert_eq!(
-            model.choose(&bound, 50.0, DEFAULT_TOLERANCE),
+            auto_choice(&bound, 50.0, DEFAULT_TOLERANCE),
             StepperKind::Chebyshev
         );
         // Fixed kinds resolve to themselves; Auto resolves per segment.
-        let options = EvolveOptions::krylov();
-        assert_eq!(options.resolve(&bound, 50.0), StepperKind::Krylov);
+        let options = EvolveOptions::chebyshev();
+        assert_eq!(options.resolve(&bound, 0.01), StepperKind::Chebyshev);
         let auto = EvolveOptions::auto();
-        assert_eq!(auto.resolve(&bound, 0.01), StepperKind::BatchedTaylor);
+        assert_eq!(auto.resolve(&bound, 0.01), StepperKind::Taylor);
         assert_eq!(auto.resolve(&bound, 50.0), StepperKind::Chebyshev);
-        // With the batched overhead priced out of reach, the per-segment
-        // reference wins the short segment again (the crossover is data).
-        let pessimistic = AutoCostModel {
-            batched_step_overhead_applications: 10.0,
-            ..AutoCostModel::default()
-        };
-        assert_eq!(
-            pessimistic.choose(&bound, 0.01, DEFAULT_TOLERANCE),
-            StepperKind::Taylor
-        );
     }
 
     #[test]
     fn choose_always_matches_brute_force_argmin() {
-        // `choose` has a fast path that skips the exact Chebyshev pricing
-        // for short segments; it must remain indistinguishable from the
-        // plain argmin over the fixed backends, across the crossover region
-        // and for non-default calibrations.
-        let models = [
-            AutoCostModel::default(),
-            AutoCostModel {
-                chebyshev_application_cost: 5.0,
-                ..AutoCostModel::default()
-            },
-            AutoCostModel {
-                taylor_application_cost: 20.0,
-                ..AutoCostModel::default()
-            },
-        ];
-        for model in models {
-            for &(center, radius, step_strength) in &[
-                (0.0, 2.0, 2.5),
-                (-1.3, 0.7, 2.0),
-                (0.0, 0.0, 1.0),
-                (5.0, 4.0, 9.5),
-            ] {
-                let bound = SpectralBound {
-                    center,
-                    radius,
-                    step_strength,
+        // `auto_choice` has a fast path that skips the exact Chebyshev
+        // pricing for short segments; it must remain indistinguishable from
+        // the plain cost comparison across the crossover region.
+        for &(center, radius, step_strength) in &[
+            (0.0, 2.0, 2.5),
+            (-1.3, 0.7, 2.0),
+            (0.0, 0.0, 1.0),
+            (5.0, 4.0, 9.5),
+        ] {
+            let bound = SpectralBound {
+                center,
+                radius,
+                step_strength,
+            };
+            for exponent in -8..=6 {
+                let duration = 2.0_f64.powi(exponent);
+                let brute = if chebyshev_cost(&bound, duration, DEFAULT_TOLERANCE)
+                    < taylor_cost(&bound, duration, DEFAULT_TOLERANCE)
+                {
+                    StepperKind::Chebyshev
+                } else {
+                    StepperKind::Taylor
                 };
-                for exponent in -8..=6 {
-                    let duration = 2.0_f64.powi(exponent);
-                    let brute = StepperKind::fixed()
-                        .into_iter()
-                        .map(|kind| {
-                            (
-                                kind,
-                                model
-                                    .estimated_cost(kind, &bound, duration, DEFAULT_TOLERANCE)
-                                    .unwrap(),
-                            )
-                        })
-                        .reduce(|best, candidate| {
-                            if candidate.1 < best.1 {
-                                candidate
-                            } else {
-                                best
-                            }
-                        })
-                        .unwrap()
-                        .0;
-                    assert_eq!(
-                        model.choose(&bound, duration, DEFAULT_TOLERANCE),
-                        brute,
-                        "bound {bound:?}, duration {duration}"
-                    );
-                }
+                assert_eq!(
+                    auto_choice(&bound, duration, DEFAULT_TOLERANCE),
+                    brute,
+                    "bound {bound:?}, duration {duration}"
+                );
             }
         }
     }
 
     #[test]
-    fn auto_model_is_overridable_toward_krylov() {
-        // The crossovers are calibration, not code: pricing Chebyshev and
-        // Taylor out steers the decision to Krylov.
-        let model = AutoCostModel {
-            taylor_application_cost: 1e6,
-            chebyshev_application_cost: 1e6,
-            ..AutoCostModel::default()
-        };
-        let bound = SpectralBound {
-            center: 0.0,
-            radius: 2.0,
-            step_strength: 2.5,
-        };
-        assert_eq!(
-            model.choose(&bound, 5.0, DEFAULT_TOLERANCE),
-            StepperKind::Krylov
-        );
-        let options = EvolveOptions::auto().with_auto_model(model);
-        assert_eq!(options.resolve(&bound, 5.0), StepperKind::Krylov);
-    }
-
-    #[test]
     fn auto_model_estimates_track_the_workload_shape() {
-        let model = AutoCostModel::default();
         let bound = SpectralBound {
             center: 0.0,
             radius: 3.0,
@@ -2417,8 +1646,8 @@ mod tests {
         };
         // Chebyshev's estimate is exact: the truncation order of its
         // expansion.
-        let apps = model
-            .estimated_applications(StepperKind::Chebyshev, &bound, 10.0, DEFAULT_TOLERANCE)
+        let apps = StepperKind::Chebyshev
+            .estimated_applications(&bound, 10.0, DEFAULT_TOLERANCE)
             .unwrap();
         assert_eq!(
             apps,
@@ -2427,19 +1656,15 @@ mod tests {
         // Auto has no estimate of its own — introspection returns None
         // instead of aborting.
         assert_eq!(
-            model.estimated_applications(StepperKind::Auto, &bound, 10.0, DEFAULT_TOLERANCE),
-            None
-        );
-        assert_eq!(
-            model.estimated_cost(StepperKind::Auto, &bound, 10.0, DEFAULT_TOLERANCE),
+            StepperKind::Auto.estimated_applications(&bound, 10.0, DEFAULT_TOLERANCE),
             None
         );
         // Taylor's estimate scales linearly with the duration (step count).
-        let short = model
-            .estimated_applications(StepperKind::Taylor, &bound, 1.0, DEFAULT_TOLERANCE)
+        let short = StepperKind::Taylor
+            .estimated_applications(&bound, 1.0, DEFAULT_TOLERANCE)
             .unwrap();
-        let long = model
-            .estimated_applications(StepperKind::Taylor, &bound, 10.0, DEFAULT_TOLERANCE)
+        let long = StepperKind::Taylor
+            .estimated_applications(&bound, 10.0, DEFAULT_TOLERANCE)
             .unwrap();
         assert!(long > 8.0 * short, "taylor {short} -> {long}");
         // A tighter spectral bound strictly lowers the Chebyshev estimate on
@@ -2447,8 +1672,8 @@ mod tests {
         // interval).
         let tightened = bound.with_exact_diagonal(-1.0, 1.0, 1.0);
         assert!(tightened.radius < bound.radius);
-        let fewer = model
-            .estimated_applications(StepperKind::Chebyshev, &tightened, 10.0, DEFAULT_TOLERANCE)
+        let fewer = StepperKind::Chebyshev
+            .estimated_applications(&tightened, 10.0, DEFAULT_TOLERANCE)
             .unwrap();
         assert!(fewer < apps, "{fewer} !< {apps}");
     }
@@ -2506,54 +1731,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_taylor_matches_taylor_with_fewer_passes() {
-        // Identical series ⇒ near-identical amplitudes (the only difference
-        // is where the drift-correction rescale lands); strictly fewer
-        // amplitude passes at the same application count.
-        let h = test_hamiltonian();
-        let initial = StateVector::plus_state(3);
-        for t in [0.1, 0.45, 2.0] {
-            let mut taylor = TaylorStepper::new(DEFAULT_TOLERANCE);
-            let mut batched = BatchedTaylorStepper::new(DEFAULT_TOLERANCE);
-            let reference = evolve_with_stepper(&mut taylor, &h, &initial, t);
-            let evolved = evolve_with_stepper(&mut batched, &h, &initial, t);
-            for (a, b) in evolved.amplitudes().iter().zip(reference.amplitudes()) {
-                assert!((*a - *b).abs() < 1e-12, "t={t}: {a} != {b}");
-            }
-            assert_eq!(
-                batched.kernel_applications(),
-                taylor.kernel_applications(),
-                "t={t}: the batched sweep must run the identical series"
-            );
-            assert!(
-                batched.state_passes() < taylor.state_passes(),
-                "t={t}: batched {} passes vs taylor {}",
-                batched.state_passes(),
-                taylor.state_passes()
-            );
-        }
-    }
-
-    #[test]
     fn every_stepper_shortcuts_pure_identity_segments() {
-        // H = c·I with a large step strength: the pre-fix Taylor path burned
-        // ⌈2·|c|·t/½⌉ degenerate steps (one application each) on a global
-        // phase; every backend must now spend zero applications and land on
-        // the exact phase.
+        // H = c·I with a large step strength: a generic Taylor loop would
+        // burn ⌈2·|c|·t/½⌉ degenerate steps (one application each) on a
+        // global phase; both backends must spend zero applications and land
+        // on the exact phase.
         let h = Hamiltonian::from_terms(2, [(5.0, PauliString::identity())]);
         let t = 10.0;
         let phase = Complex::from_polar_angle(-5.0 * t);
         let initial = StateVector::plus_state(2);
         let mut taylor = TaylorStepper::new(DEFAULT_TOLERANCE);
-        let mut batched = BatchedTaylorStepper::new(DEFAULT_TOLERANCE);
-        let mut krylov = KrylovStepper::new(DEFAULT_TOLERANCE);
         let mut chebyshev = ChebyshevStepper::new(DEFAULT_TOLERANCE);
-        let steppers: [(&str, &mut dyn Stepper); 4] = [
-            ("taylor", &mut taylor),
-            ("batched_taylor", &mut batched),
-            ("krylov", &mut krylov),
-            ("chebyshev", &mut chebyshev),
-        ];
+        let steppers: [(&str, &mut dyn Stepper); 2] =
+            [("taylor", &mut taylor), ("chebyshev", &mut chebyshev)];
         for (name, stepper) in steppers {
             let evolved = evolve_with_stepper(stepper, &h, &initial, t);
             assert_eq!(stepper.kernel_applications(), 0, "{name} did kernel work");
@@ -2566,44 +1756,41 @@ mod tests {
     #[test]
     fn batched_run_chains_segments_through_one_sweep() {
         // A 3-segment mini-ramp driven through the run API must match three
-        // independent per-segment Taylor evolutions.
+        // independent single-segment evolutions: the same series, one drift
+        // correction for the whole run instead of one per segment.
         let segments = [
             (test_hamiltonian(), 0.11),
             (test_hamiltonian().scaled(0.8), 0.13),
             (test_hamiltonian().scaled(0.6), 0.09),
         ];
-        let initial = StateVector::plus_state(3);
-        let norm = initial.norm();
-
-        let mut reference = initial.clone();
-        let mut taylor = TaylorStepper::new(DEFAULT_TOLERANCE);
-        for (h, t) in &segments {
-            let compiled = CompiledHamiltonian::compile(h);
-            taylor.evolve_segment(
-                compiled.kernel(),
-                &compiled.spectral_bound(),
-                &mut reference,
-                *t,
-                norm,
-            );
-        }
-
-        let mut batched = BatchedTaylorStepper::new(DEFAULT_TOLERANCE);
-        let mut state = initial.clone();
         let compiled: Vec<CompiledHamiltonian> = segments
             .iter()
             .map(|(h, _)| CompiledHamiltonian::compile(h))
             .collect();
-        batched.begin_run(&state, norm);
+        let initial = StateVector::plus_state(3);
+        let norm = initial.norm();
+
+        let mut reference = initial.clone();
+        let mut separate = TaylorStepper::new(DEFAULT_TOLERANCE);
         for (c, (_, t)) in compiled.iter().zip(&segments) {
-            batched.run_segment(c.kernel(), &c.spectral_bound(), &mut state, *t);
+            separate.evolve_segment(c.kernel(), &c.spectral_bound(), &mut reference, *t, norm);
         }
-        batched.finish_run(&mut state);
+
+        let mut chained = TaylorStepper::new(DEFAULT_TOLERANCE);
+        let mut state = initial.clone();
+        chained.begin_run(&state, norm);
+        for (c, (_, t)) in compiled.iter().zip(&segments) {
+            chained.run_segment(c.kernel(), &c.spectral_bound(), &mut state, *t);
+        }
+        chained.finish_run(&mut state);
 
         for (a, b) in state.amplitudes().iter().zip(reference.amplitudes()) {
             assert!((*a - *b).abs() < 1e-12, "{a} != {b}");
         }
-        assert_eq!(batched.kernel_applications(), taylor.kernel_applications());
-        assert!(batched.state_passes() < taylor.state_passes());
+        assert_eq!(
+            chained.kernel_applications(),
+            separate.kernel_applications()
+        );
+        assert!(chained.state_passes() < separate.state_passes());
     }
 }

@@ -137,7 +137,7 @@ pub struct SegmentSpan {
     pub backend: StepperKind,
     /// Segment duration.
     pub duration: f64,
-    /// `AutoCostModel::estimated_applications` for the backend that ran,
+    /// [`StepperKind::estimated_applications`] for the backend that ran,
     /// using the same (diagonal-tightened) bound the stepper saw.
     /// `None` when the model has no closed form (e.g. unresolved `Auto`).
     pub predicted_applications: Option<f64>,
@@ -860,7 +860,7 @@ mod tests {
     fn sans_timing_zeroes_only_wall_fields() {
         let span = SpanEvent::Segment(SegmentSpan {
             index: Some(3),
-            backend: StepperKind::Krylov,
+            backend: StepperKind::Chebyshev,
             duration: 0.5,
             predicted_applications: Some(7.0),
             applications: 7,
@@ -884,7 +884,7 @@ mod tests {
         let mut recorder = Recorder::new();
         recorder.record(SpanEvent::Segment(SegmentSpan {
             index: Some(0),
-            backend: StepperKind::BatchedTaylor,
+            backend: StepperKind::Taylor,
             duration: 0.25,
             predicted_applications: Some(12.0),
             applications: 12,
@@ -895,7 +895,7 @@ mod tests {
         let profile = RunProfile::from_recorder(&recorder);
         let json = profile.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"backend\":\"batched-taylor\"") || json.contains("batched"));
+        assert!(json.contains("\"backend\":\"taylor\""));
         assert!(json.contains("\"predicted_applications\":12.0"));
         let summary = profile.summary();
         assert!(summary.contains("run profile"));

@@ -60,7 +60,7 @@ fn main() {
     let batched_segments = propagator
         .segment_decisions()
         .iter()
-        .filter(|&&kind| kind == StepperKind::BatchedTaylor)
+        .filter(|&&kind| kind == StepperKind::Taylor)
         .count();
     println!(
         "  evolution        : {}/{} segments batched, {} H|psi> applications, {} amplitude passes",

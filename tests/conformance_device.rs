@@ -135,7 +135,7 @@ fn fault_recovery_inside_block_sweep() {
     let num_qubits = 3;
     let schedule = CompiledSchedule::compile(&ramp(num_qubits, 6));
     let scales = [1.0, 0.97, 1.03];
-    let options = EvolveOptions::batched_taylor();
+    let options = EvolveOptions::taylor();
 
     let mut clean = Propagator::with_options(options);
     let mut clean_block = RealizationBlock::zero_states(num_qubits, scales.len());

@@ -176,7 +176,7 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
         ],
     });
 
-    // --- Long ‖H‖·t (the Krylov/Chebyshev regime). ---
+    // --- Long ‖H‖·t (the Chebyshev regime). ---
     let h = Hamiltonian::from_terms(
         3,
         [

@@ -2,12 +2,12 @@
 //!
 //! Every failure class of the [`qturbo_quantum::fault::Fault`] taxonomy is
 //! injected into a multi-segment schedule under **every**
-//! [`StepperKind`] (the four fixed backends and `Auto`), and each cell must
+//! [`StepperKind`] (the two fixed backends and `Auto`), and each cell must
 //! land in exactly one of two lawful outcomes:
 //!
 //! 1. **Recovered** — the run returns `Ok`, the final amplitudes agree with
 //!    the uninjected reference to 1e-10, and (for faults that corrupt
-//!    state or force a solver failure on the executing backend) the
+//!    state) the
 //!    [`RecoveryLog`] records the fallback that saved the run, or
 //! 2. **Typed error** — the run returns an [`EvolveError`] naming the
 //!    failure.
@@ -20,11 +20,9 @@
 //! [`EvolveError::InvalidInput`] contract.
 
 use qturbo_hamiltonian::{Hamiltonian, Pauli, PauliString};
-use qturbo_math::MathError;
 use qturbo_quantum::compiled::CompiledHamiltonian;
 use qturbo_quantum::fault::{Fault, FaultInjector};
 use qturbo_quantum::schedule::CompiledSchedule;
-use qturbo_quantum::stepper::{KrylovStepper, Stepper};
 use qturbo_quantum::{
     EmulatedDevice, EvolveError, EvolveOptions, ExecutionContext, NoiseModel, Propagator,
     StateVector, StepperKind,
@@ -60,7 +58,7 @@ fn grid_segments() -> Vec<(Hamiltonian, f64)> {
     ]
 }
 
-fn every_kind() -> [StepperKind; 5] {
+fn every_kind() -> [StepperKind; 3] {
     StepperKind::all()
 }
 
@@ -132,14 +130,14 @@ fn fault_grid_recovers_or_errors_never_lies() {
         Fault::InfAmplitude,
         Fault::AmplitudeSpike { factor: 1e8 },
         // A thousand-fold under-reported radius: Chebyshev truncates far
-        // below the true span and diverges; bound-insensitive backends are
-        // unaffected. (A zero radius would instead claim the segment is a
-        // pure identity shift — that is a different, legal schedule.)
+        // below the true span and diverges; the bound-insensitive Taylor
+        // backend is unaffected. (A zero radius would instead claim the
+        // segment is a pure identity shift — that is a different, legal
+        // schedule.)
         Fault::BoundPerturbation {
             radius_scale: 1e-3,
             center_shift: 0.0,
         },
-        Fault::QlNonConvergence,
     ];
     for kind in every_kind() {
         let reference = clean_reference(&schedule, kind);
@@ -244,90 +242,12 @@ fn amplitude_corruption_always_recovers_exactly() {
     }
 }
 
-/// Seeded regression for the historical `.expect("tridiagonal QL
-/// converges")`: a QL failure inside the Krylov backend surfaces as a typed
-/// [`EvolveError::NonConvergence`] carrying the originating [`MathError`] —
-/// and on the schedule path it is recovered by the Taylor fallback.
-#[test]
-fn krylov_ql_failure_is_typed_and_recovered() {
-    let segments = grid_segments();
-    let schedule = CompiledSchedule::compile(&segments);
-    let reference = clean_reference(&schedule, StepperKind::Krylov);
-
-    let mut propagator = Propagator::with_options(EvolveOptions::new(StepperKind::Krylov));
-    propagator.set_fault_injector(Some(
-        FaultInjector::new(SEED).with_fault(FAULT_SEGMENT, Fault::QlNonConvergence),
-    ));
-    let mut state = StateVector::plus_state(3);
-    propagator
-        .try_evolve_schedule_in_place(&schedule, &mut state)
-        .expect("QL failure on a rollback-safe backend recovers");
-    assert_amplitudes_match(
-        StepperKind::Krylov,
-        &Fault::QlNonConvergence,
-        &state,
-        &reference,
-    );
-    let events = propagator.recovery_log().events();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].backend, StepperKind::Krylov);
-    assert_eq!(events[0].fallback, StepperKind::Taylor);
-    assert!(
-        matches!(
-            &events[0].error,
-            EvolveError::NonConvergence {
-                backend: StepperKind::Krylov,
-                segment: Some(FAULT_SEGMENT),
-                source: MathError::NoConvergence { .. },
-            }
-        ),
-        "unexpected recovered error: {}",
-        events[0].error
-    );
-}
-
-/// The same QL failure on a bare [`KrylovStepper`] (no schedule loop, no
-/// fallback) returns the typed error directly and restores the entry state.
-#[test]
-fn bare_krylov_stepper_returns_typed_ql_error_and_rolls_back() {
-    let (hamiltonian, duration) = &grid_segments()[0];
-    let compiled = CompiledHamiltonian::compile(hamiltonian);
-    let mut stepper = KrylovStepper::new(1e-12);
-    stepper.force_ql_nonconvergence();
-    let mut state = StateVector::plus_state(3);
-    let before = state.clone();
-    let reference_norm = before.norm();
-    let error = stepper
-        .try_evolve_segment(
-            compiled.kernel(),
-            &compiled.spectral_bound(),
-            &mut state,
-            *duration,
-            reference_norm,
-        )
-        .expect_err("forced QL failure must surface");
-    assert!(matches!(
-        &error,
-        EvolveError::NonConvergence {
-            backend: StepperKind::Krylov,
-            segment: None,
-            source: MathError::NoConvergence { .. },
-        }
-    ));
-    assert_amplitudes_match(
-        StepperKind::Krylov,
-        &Fault::QlNonConvergence,
-        &state,
-        &before,
-    );
-}
-
-/// Under `Auto`, a recovered Krylov failure demotes the backend: the
-/// decision trace may hand later segments to any backend *except* the
-/// demoted one.
+/// Under `Auto`, a recovered Chebyshev failure demotes the backend: the
+/// faulted segment is retried with Taylor, and every later segment runs
+/// Taylor too.
 #[test]
 fn auto_demotes_a_failing_backend_for_the_rest_of_the_schedule() {
-    // A long-duration drive family where the cost model picks Krylov.
+    // A long-duration drive family that Auto hands to Chebyshev.
     let drive = |omega: f64| {
         let mut h = Hamiltonian::new(3);
         for q in 0..3 {
@@ -341,48 +261,43 @@ fn auto_demotes_a_failing_backend_for_the_rest_of_the_schedule() {
     let schedule = CompiledSchedule::compile(&segments);
 
     let mut clean = Propagator::new();
-    let mut state = StateVector::plus_state(3);
+    let mut reference = StateVector::plus_state(3);
     clean
-        .try_evolve_schedule_in_place(&schedule, &mut state)
+        .try_evolve_schedule_in_place(&schedule, &mut reference)
         .expect("clean evolution succeeds");
-    if !clean.segment_decisions().contains(&StepperKind::Krylov) {
-        // The cost model no longer picks Krylov here; the demotion path is
-        // covered by the grid above, so just bail rather than assert a
-        // calibration detail.
-        return;
-    }
-    let reference = state;
+    let faulted_segment = 2;
+    assert_eq!(
+        clean.segment_decisions()[faulted_segment],
+        StepperKind::Chebyshev,
+        "Auto must hand the faulted segment to Chebyshev for this test to bite"
+    );
 
-    let faulted_segment = clean
-        .segment_decisions()
-        .iter()
-        .position(|&kind| kind == StepperKind::Krylov)
-        .expect("checked above");
     let mut propagator = Propagator::new();
     propagator.set_fault_injector(Some(
-        FaultInjector::new(SEED).with_fault(faulted_segment, Fault::QlNonConvergence),
+        FaultInjector::new(SEED).with_fault(faulted_segment, Fault::NanAmplitude),
     ));
     let mut recovered = StateVector::plus_state(3);
     propagator
         .try_evolve_schedule_in_place(&schedule, &mut recovered)
-        .expect("forced QL failure recovers under Auto");
-    assert!(!propagator.recovery_log().is_empty());
+        .expect("a NaN amplitude on a Chebyshev segment recovers under Auto");
     assert_amplitudes_match(
         StepperKind::Auto,
-        &Fault::QlNonConvergence,
+        &Fault::NanAmplitude,
         &recovered,
         &reference,
     );
-    // Every decision after the faulted segment avoids the demoted backend.
-    for (index, kind) in propagator
-        .segment_decisions()
-        .iter()
-        .enumerate()
-        .skip(faulted_segment + 1)
-    {
-        assert_ne!(
+    let events = propagator.recovery_log().events();
+    assert_eq!(events.len(), 1, "expected exactly one recovery");
+    assert_eq!(events[0].segment, Some(faulted_segment));
+    assert_eq!(events[0].backend, StepperKind::Chebyshev);
+    assert_eq!(events[0].fallback, StepperKind::Taylor);
+    // Every decision after the faulted segment goes to Taylor.
+    let decisions = propagator.segment_decisions();
+    assert_eq!(decisions.len(), segments.len());
+    for (index, kind) in decisions.iter().enumerate().skip(faulted_segment + 1) {
+        assert_eq!(
             *kind,
-            StepperKind::Krylov,
+            StepperKind::Taylor,
             "segment {index} was handed to the demoted backend"
         );
     }
@@ -497,33 +412,25 @@ fn oversized_schedule_is_a_typed_error() {
 fn benign_bound_faults_pass_through_bound_insensitive_backends() {
     let segments = grid_segments();
     let schedule = CompiledSchedule::compile(&segments);
-    for kind in [StepperKind::Taylor, StepperKind::Krylov] {
-        let reference = clean_reference(&schedule, kind);
-        let mut propagator = Propagator::with_options(EvolveOptions::new(kind));
-        propagator.set_fault_injector(Some(FaultInjector::new(SEED).with_fault(
-            FAULT_SEGMENT,
-            Fault::BoundPerturbation {
-                radius_scale: 1e-3,
-                center_shift: 0.0,
-            },
-        )));
-        let mut state = StateVector::plus_state(3);
-        propagator
-            .try_evolve_schedule_in_place(&schedule, &mut state)
-            .expect("a bound perturbation is benign for bound-insensitive backends");
-        assert_amplitudes_match(
-            kind,
-            &Fault::BoundPerturbation {
-                radius_scale: 1e-3,
-                center_shift: 0.0,
-            },
-            &state,
-            &reference,
-        );
-        assert!(
-            propagator.recovery_log().is_empty(),
-            "{}: benign fault must not trigger recovery",
-            kind.name()
-        );
-    }
+    // Taylor sizes its steps from the step strength, not the spectral
+    // radius, so a shrunken radius is harmless to it.
+    let kind = StepperKind::Taylor;
+    let reference = clean_reference(&schedule, kind);
+    let fault = Fault::BoundPerturbation {
+        radius_scale: 1e-3,
+        center_shift: 0.0,
+    };
+    let mut propagator = Propagator::with_options(EvolveOptions::new(kind));
+    propagator.set_fault_injector(Some(
+        FaultInjector::new(SEED).with_fault(FAULT_SEGMENT, fault.clone()),
+    ));
+    let mut state = StateVector::plus_state(3);
+    propagator
+        .try_evolve_schedule_in_place(&schedule, &mut state)
+        .expect("a bound perturbation is benign for the bound-insensitive backend");
+    assert_amplitudes_match(kind, &fault, &state, &reference);
+    assert!(
+        propagator.recovery_log().is_empty(),
+        "benign fault must not trigger recovery"
+    );
 }

@@ -1,12 +1,12 @@
-//! Property tests pinning the batched-Taylor, Lanczos–Krylov, and Chebyshev
-//! steppers to the Taylor / naive references:
+//! Property tests pinning the Taylor and Chebyshev steppers (and `Auto`) to
+//! the naive reference:
 //!
-//! * all four fixed backends must agree with `evolve_naive` to 1e-10 on
-//!   random Hamiltonians, including Y-heavy term mixes,
+//! * every backend must agree with `evolve_naive` to 1e-10 on random
+//!   Hamiltonians, including Y-heavy term mixes,
 //! * near-degenerate spectra (coefficient gaps down to 1e-9) must not break
-//!   the Krylov basis or the Chebyshev interval mapping,
+//!   the Chebyshev interval mapping,
 //! * long-duration segments (`‖H‖·t ≫ 1`) must agree at the same 1e-10 while
-//!   the new backends spend far fewer kernel applications,
+//!   Chebyshev spends far fewer kernel applications,
 //! * evolution must stay linear in the input norm over 1e-3…1e3 for every
 //!   backend,
 //! * the compiled-schedule driver must produce backend-independent results.
@@ -21,7 +21,7 @@ use qturbo_math::Complex;
 use qturbo_quantum::compiled::CompiledHamiltonian;
 use qturbo_quantum::propagate::{evolve_naive, evolve_schedule_with, evolve_with};
 use qturbo_quantum::schedule::CompiledSchedule;
-use qturbo_quantum::{AutoCostModel, EvolveOptions, Propagator, StateVector, StepperKind};
+use qturbo_quantum::{EvolveOptions, Propagator, StateVector, StepperKind};
 
 const AGREEMENT: f64 = 1e-10;
 
@@ -105,9 +105,8 @@ fn backends_agree_on_random_y_heavy_hamiltonians() {
 #[test]
 fn backends_agree_on_near_degenerate_spectra() {
     // Hamiltonians whose eigenvalues cluster within ~1e-9 of each other
-    // stress the Krylov basis (Lanczos converges eigenpair-by-eigenpair and
-    // near-copies invite orthogonality loss) and the Chebyshev interval
-    // mapping (the dynamics live in a sliver of the bound interval).
+    // stress the Chebyshev interval mapping (the dynamics live in a sliver
+    // of the bound interval).
     let mut rng = Rng::seed_from_u64(0xDE6E);
     for &gap in &[1e-6, 1e-9] {
         // Z₀ + (1 + gap)·Z₁: eigenvalue pairs split by `gap`.
@@ -138,9 +137,9 @@ fn backends_agree_on_near_degenerate_spectra() {
 
 #[test]
 fn backends_agree_on_long_durations_with_less_work() {
-    // ‖H‖·t ≫ 1: the regime the new steppers exist for. Accuracy must hold
-    // at 1e-10 while Krylov and Chebyshev apply the kernel far fewer times
-    // than Taylor's ‖H‖·t/0.5 stepping.
+    // ‖H‖·t ≫ 1: the regime Chebyshev exists for. Accuracy must hold at
+    // 1e-10 while Chebyshev applies the kernel far fewer times than
+    // Taylor's ‖H‖·t/0.5 stepping.
     let mut rng = Rng::seed_from_u64(0x10A6);
     let h = random_y_heavy(&mut rng, 3, 6);
     let strength = h.coefficient_l1_norm() + h.max_abs_coefficient();
@@ -156,17 +155,9 @@ fn backends_agree_on_long_durations_with_less_work() {
         propagator.evolve_in_place(&compiled, &mut state, time);
         work.push(propagator.kernel_applications());
     }
-    let [taylor, batched, krylov, chebyshev] = work[..] else {
+    let [taylor, chebyshev] = work[..] else {
         unreachable!()
     };
-    assert_eq!(
-        batched, taylor,
-        "the batched sweep runs the identical Taylor series"
-    );
-    assert!(
-        krylov * 2 < taylor,
-        "krylov should need far fewer applications: {krylov} vs {taylor}"
-    );
     assert!(
         chebyshev * 2 < taylor,
         "chebyshev should need far fewer applications: {chebyshev} vs {taylor}"
@@ -228,11 +219,7 @@ fn schedule_driver_is_backend_independent() {
     let schedule = CompiledSchedule::compile(&segments);
     let initial = random_state(&mut rng, num_qubits);
     let reference = evolve_schedule_with(&initial, &schedule, EvolveOptions::taylor());
-    for options in [
-        EvolveOptions::batched_taylor(),
-        EvolveOptions::krylov(),
-        EvolveOptions::chebyshev(),
-    ] {
+    for options in [EvolveOptions::chebyshev(), EvolveOptions::auto()] {
         let evolved = evolve_schedule_with(&initial, &schedule, options);
         for (a, b) in evolved.amplitudes().iter().zip(reference.amplitudes()) {
             assert!(
@@ -246,10 +233,10 @@ fn schedule_driver_is_backend_independent() {
 
 #[test]
 fn auto_batches_short_ramp_segments() {
-    // The MIS annealing shape: many tiny segments, where the Taylor series
-    // wins over the high-order backends and the batched sweep undercuts the
-    // per-segment Taylor overhead — the "ramps batch" regression. A silent
-    // crossover regression in the cost model fails this loudly.
+    // The MIS annealing shape: many tiny segments, where the batched Taylor
+    // sweep wins over Chebyshev's per-segment setup — the "ramps batch"
+    // regression. A silent crossover regression in the Auto rule fails this
+    // loudly.
     let ramp = mis_chain(6, 1.0, 1.0, 1.0, 1.0, 60);
     let schedule = CompiledSchedule::compile_piecewise(&ramp);
     // Every tiny segment is batchable; the runs split only where the term
@@ -275,26 +262,24 @@ fn auto_batches_short_ramp_segments() {
     let decisions = propagator.segment_decisions();
     assert_eq!(decisions.len(), schedule.num_segments());
     assert!(
-        decisions
-            .iter()
-            .all(|&kind| kind == StepperKind::BatchedTaylor),
-        "expected all-batched on the short-segment ramp, got {decisions:?}"
+        decisions.iter().all(|&kind| kind == StepperKind::Taylor),
+        "expected all-Taylor on the short-segment ramp, got {decisions:?}"
     );
     // The work landed where the decisions say it did.
     for (kind, applications) in propagator.kernel_applications_by_backend() {
-        if kind == StepperKind::BatchedTaylor {
+        if kind == StepperKind::Taylor {
             assert!(applications > 0);
         } else {
             assert_eq!(
                 applications,
                 0,
-                "{} did work on an all-batched run",
+                "{} did work on an all-Taylor run",
                 kind.name()
             );
         }
     }
-    // The batched sweep runs the identical Taylor series: same application
-    // count as the per-segment reference, strictly fewer amplitude passes.
+    // An all-Taylor Auto run is the Taylor-pinned run: the same chained
+    // sweep, so the same work and bitwise the same state.
     let mut taylor = Propagator::with_stepper(StepperKind::Taylor);
     let mut taylor_state = StateVector::zero_state(6);
     taylor.evolve_schedule_in_place(&schedule, &mut taylor_state);
@@ -302,17 +287,8 @@ fn auto_batches_short_ramp_segments() {
         propagator.kernel_applications(),
         taylor.kernel_applications()
     );
-    assert!(
-        propagator.state_passes() < taylor.state_passes(),
-        "batched {} passes vs per-segment {}",
-        propagator.state_passes(),
-        taylor.state_passes()
-    );
-    // And the Auto result matches the Taylor-pinned result to conformance
-    // accuracy (identical series; only the drift-correction timing differs).
-    for (a, b) in state.amplitudes().iter().zip(taylor_state.amplitudes()) {
-        assert!((*a - *b).abs() < 1e-12, "{a} != {b}");
-    }
+    assert_eq!(propagator.state_passes(), taylor.state_passes());
+    assert_eq!(state, taylor_state);
 }
 
 #[test]
@@ -362,9 +338,9 @@ fn auto_decides_per_segment_not_per_run() {
     assert_eq!(
         propagator.segment_decisions(),
         &[
-            StepperKind::BatchedTaylor,
+            StepperKind::Taylor,
             StepperKind::Chebyshev,
-            StepperKind::BatchedTaylor
+            StepperKind::Taylor
         ],
         "tiny ramp segments batch, the quench in the middle still goes to Chebyshev"
     );
@@ -378,36 +354,6 @@ fn auto_decides_per_segment_not_per_run() {
         for (a, b) in state.amplitudes().iter().zip(reference.amplitudes()) {
             assert!((*a - *b).abs() < AGREEMENT, "{}: {a} != {b}", kind.name());
         }
-    }
-}
-
-#[test]
-fn auto_cost_model_is_overridable_per_call() {
-    // The crossovers are calibration, not code: a cost model that prices
-    // Taylor and Chebyshev out steers every segment to Krylov.
-    let h = heisenberg_chain(3, 1.0, 0.5);
-    let segments = vec![(h.clone(), 0.05), (h, 2.0)];
-    let schedule = CompiledSchedule::compile(&segments);
-    let model = AutoCostModel {
-        taylor_application_cost: 1e9,
-        batched_taylor_application_cost: 1e9,
-        chebyshev_application_cost: 1e9,
-        ..AutoCostModel::default()
-    };
-    let mut propagator = Propagator::with_options(EvolveOptions::auto().with_auto_model(model));
-    let mut state = StateVector::zero_state(3);
-    propagator.evolve_schedule_in_place(&schedule, &mut state);
-    assert_eq!(
-        propagator.segment_decisions(),
-        &[StepperKind::Krylov, StepperKind::Krylov]
-    );
-    let reference = evolve_schedule_with(
-        &StateVector::zero_state(3),
-        &schedule,
-        EvolveOptions::krylov(),
-    );
-    for (a, b) in state.amplitudes().iter().zip(reference.amplitudes()) {
-        assert!((*a - *b).abs() < 1e-12, "{a} != {b}");
     }
 }
 
@@ -485,7 +431,7 @@ fn tightened_spectral_bound_cuts_chebyshev_order_on_mis_ramp() {
 
 #[test]
 fn taylor_estimate_is_exact_on_pure_drive_ramp_segments() {
-    // The cost-model observability gap: `AutoCostModel::estimated_applications`
+    // The cost-model observability gap: `StepperKind::estimated_applications`
     // predictions were never compared to actuals. On a pure transverse-drive
     // ramp the Taylor estimate is provably exact: with `H = Ω·X₀`,
     // `‖Hᵏψ‖ = Ωᵏ·‖ψ‖` for *any* state (X₀ is Ω times a unitary), so the
@@ -507,29 +453,23 @@ fn taylor_estimate_is_exact_on_pure_drive_ramp_segments() {
         })
         .collect();
     let schedule = CompiledSchedule::compile(&segments);
-    for kind in [StepperKind::Taylor, StepperKind::BatchedTaylor] {
-        let mut propagator =
-            Propagator::with_options(EvolveOptions::new(kind).with_telemetry(true));
-        let mut state = StateVector::zero_state(num_qubits);
-        propagator.evolve_schedule_in_place(&schedule, &mut state);
-        let trace = propagator.trace().expect("telemetry enabled");
-        let mut checked = 0;
-        for event in trace.events() {
-            if let SpanEvent::Segment(span) = event {
-                let predicted = span.predicted_applications.expect("taylor has an estimate");
-                assert_eq!(
-                    predicted,
-                    span.applications as f64,
-                    "{}: segment {:?} predicted {predicted} != measured {}",
-                    kind.name(),
-                    span.index,
-                    span.applications
-                );
-                checked += 1;
-            }
+    let mut propagator = Propagator::with_options(EvolveOptions::taylor().with_telemetry(true));
+    let mut state = StateVector::zero_state(num_qubits);
+    propagator.evolve_schedule_in_place(&schedule, &mut state);
+    let trace = propagator.trace().expect("telemetry enabled");
+    let mut checked = 0;
+    for event in trace.events() {
+        if let SpanEvent::Segment(span) = event {
+            let predicted = span.predicted_applications.expect("taylor has an estimate");
+            assert_eq!(
+                predicted, span.applications as f64,
+                "segment {:?} predicted {predicted} != measured {}",
+                span.index, span.applications
+            );
+            checked += 1;
         }
-        assert_eq!(checked, num_segments);
     }
+    assert_eq!(checked, num_segments);
 }
 
 #[test]
@@ -540,11 +480,9 @@ fn relaxed_tolerance_still_converges_reasonably() {
     let h = random_y_heavy(&mut rng, 3, 5);
     let initial = random_state(&mut rng, 3);
     let reference = evolve_naive(&initial, &h, 5.0);
-    for kind in [StepperKind::Krylov, StepperKind::Chebyshev] {
-        let options = EvolveOptions::new(kind).with_tolerance(1e-6);
-        let evolved = evolve_with(&initial, &h, 5.0, options);
-        for (a, b) in evolved.amplitudes().iter().zip(reference.amplitudes()) {
-            assert!((*a - *b).abs() < 1e-4, "{}: {a} != {b}", kind.name());
-        }
+    let options = EvolveOptions::chebyshev().with_tolerance(1e-6);
+    let evolved = evolve_with(&initial, &h, 5.0, options);
+    for (a, b) in evolved.amplitudes().iter().zip(reference.amplitudes()) {
+        assert!((*a - *b).abs() < 1e-4, "{a} != {b}");
     }
 }
